@@ -54,9 +54,12 @@ const FIG_SEEDS: u64 = 5;
 /// Repeats per run, at least: a repeat's fingerprint is checked against
 /// the first.
 const MIN_REPEATS: usize = 2;
-/// Timed builds of the workload's networks behind `setup_s` before the
-/// first repeat; one more precedes each repeat.
+/// `setup_s` samples taken before the first repeat; one more precedes
+/// each repeat.
 const SETUP_SAMPLES: usize = 5;
+/// Host seconds one `setup_s` sample covers at least: a single set-up
+/// takes a few ms, too short to time steadily alone.
+const SETUP_SAMPLE_S: f64 = 0.1;
 
 /// A named benchmark workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -507,19 +510,25 @@ fn setup_experiments(opts: &Options) -> Vec<Experiment> {
     }
 }
 
-/// Host seconds of `ScenarioSpec::build` + `NetworkBuilder::build` over
-/// `exps`.
+/// One `setup_s` sample: host seconds of `ScenarioSpec::build` +
+/// `NetworkBuilder::build` over `exps`. The set-up repeats until it has
+/// taken [`SETUP_SAMPLE_S`]; each build counts its fastest time, as the
+/// chunks of a repeat do.
 fn time_setup(exps: &[Experiment]) -> f64 {
+    let mut fastest = vec![f64::INFINITY; exps.len()];
     let mut total = 0.0;
-    for exp in exps {
-        let t = Instant::now();
-        let net = exp.network_builder().build();
-        total += t.elapsed().as_secs_f64();
-        drop(net);
+    while total < SETUP_SAMPLE_S {
+        for (exp, best) in exps.iter().zip(&mut fastest) {
+            let t = Instant::now();
+            let net = exp.network_builder().build();
+            let s = t.elapsed().as_secs_f64();
+            drop(net);
+            total += s;
+            *best = best.min(s);
+        }
     }
-    total
+    fastest.iter().sum()
 }
-
 /// What the repeats of one run produced.
 #[derive(Default)]
 struct Collected {
@@ -738,18 +747,16 @@ fn run_repeat(opts: &Options, n: usize) -> Result<Repeat, String> {
     }
 }
 
-/// One city repeat: the cell on every core, then traced when asked.
+/// One city repeat: the cell untraced, then traced when asked.
 fn city_repeat(opts: &Options, w: Workload) -> Result<Repeat, String> {
     let cell = Cell {
         exp: city_experiment(w, opts.seed, city_window_s(w, opts.smoke)),
         warmup: Warmup::UntilJoined,
         window_s: city_window_s(w, opts.smoke),
     };
-    let cells = std::slice::from_ref(&cell);
-    let runs = run_on_every_core(cells)?;
-    let run = &runs[0];
+    let run = run_cell(&cell, None)?;
     let (layers, tracer) = if opts.trace {
-        let (mut m, t) = traced_pass(cells, &runs)?;
+        let (mut m, t) = traced_pass(std::slice::from_ref(&cell), std::slice::from_ref(&run))?;
         sweep_layer(&mut m, None);
         (Some(m), Some(t))
     } else {
@@ -768,41 +775,6 @@ fn city_repeat(opts: &Options, w: Workload) -> Result<Repeat, String> {
         layers,
         tracer,
     })
-}
-
-/// Runs `cells` on every core at once, each core stepping every cell,
-/// and keeps each chunk's fastest time: the host's cores slow down
-/// independently. Every core must produce the same reports.
-fn run_on_every_core(cells: &[Cell]) -> Result<Vec<CellRun>, String> {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let passes: Vec<Result<Vec<CellRun>, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cores)
-            .map(|_| scope.spawn(|| cells.iter().map(|c| run_cell(c, None)).collect()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err("a cell panicked".into())))
-            .collect()
-    });
-    let mut passes = passes.into_iter();
-    let mut runs = passes.next().expect("at least one core")?;
-    for pass in passes {
-        for (run, other) in runs.iter_mut().zip(pass?) {
-            if other.fingerprint != run.fingerprint {
-                return Err("a cell's report differs between cores".into());
-            }
-            let pairs = run
-                .warm_ms
-                .iter_mut()
-                .zip(&other.warm_ms)
-                .chain(run.window_ms.iter_mut().zip(&other.window_ms))
-                .chain(std::iter::once((&mut run.other_ms, &other.other_ms)));
-            for (a, b) in pairs {
-                *a = a.min(*b);
-            }
-        }
-    }
-    Ok(runs)
 }
 
 /// One sweep repeat: cold pass, warm pass, then every cell in
@@ -847,7 +819,10 @@ fn fig_repeat(opts: &Options, n: usize) -> Result<Repeat, String> {
             });
         }
     }
-    let runs = run_on_every_core(&probe)?;
+    let runs = probe
+        .iter()
+        .map(|c| run_cell(c, None))
+        .collect::<Result<Vec<_>, _>>()?;
     let rows = cold.points.iter().flat_map(|p| p.rows.iter());
     for ((cell, run), row) in probe.iter().zip(&runs).zip(rows) {
         let what = format!(

@@ -6,8 +6,8 @@
 //! Prints notes (report fingerprints, sample counts, PDR) and, as the
 //! last line, one JSON object: `correct`, `attempted`, `failed` and the
 //! end-to-end metrics (`--trace 0`) or the per-layer metrics
-//! (`--trace 1`). A traced run also writes its spans as JSON lines under
-//! `.perfbench_run/`.
+//! (`--trace 1`). The exit code is 1 when a check failed. A traced run
+//! also writes its spans as JSON lines under `.perfbench_run/`.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -104,5 +104,9 @@ fn main() -> ExitCode {
         }
     }
     println!("{}", result_json(&outcome));
-    ExitCode::SUCCESS
+    if outcome.failed == 0 && outcome.attempted > 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
