@@ -306,11 +306,17 @@ impl Network {
 
     /// Fraction of non-root nodes that joined the DODAG.
     pub fn join_ratio(&self) -> f64 {
-        let non_roots: Vec<_> = self.nodes.iter().filter(|n| !n.rpl.is_root()).collect();
-        if non_roots.is_empty() {
+        let (non_roots, joined) = self
+            .nodes
+            .iter()
+            .filter(|n| !n.rpl.is_root())
+            .fold((0usize, 0usize), |(all, joined), n| {
+                (all + 1, joined + usize::from(n.rpl.is_joined()))
+            });
+        if non_roots == 0 {
             return 1.0;
         }
-        non_roots.iter().filter(|n| n.rpl.is_joined()).count() as f64 / non_roots.len() as f64
+        joined as f64 / non_roots as f64
     }
 
     /// Simulates one timeslot.
@@ -1230,14 +1236,10 @@ impl NetworkBuilder {
             };
             node.eb_period = self.config.eb_period;
             let eb_phase = jitter(&mut node.rng, self.config.eb_period);
-            node.timers
-                .arm_one_shot(crate::node::TimerKind::Eb, SimTime::ZERO + eb_phase);
+            node.eb_timer.arm(SimTime::ZERO + eb_phase);
             let sf_phase = jitter(&mut node.rng, self.config.sf_period);
-            node.timers.arm_periodic(
-                crate::node::TimerKind::Sf,
-                SimTime::ZERO + sf_phase,
-                self.config.sf_period,
-            );
+            node.sf_timer
+                .arm_periodic(SimTime::ZERO + sf_phase, self.config.sf_period);
             // No RPL phase: RPL housekeeping has no period any more — the
             // layer fires at its own exact deadlines.
 

@@ -11,6 +11,9 @@
 //!   TSCH link options (Tx/Rx/Shared) and a scheduler-facing class
 //!   (Broadcast / SixP / Data / Shared — the paper's five timeslot types,
 //!   with Sleep as the absence of a cell),
+//! * [`CyclicUnion`] — the cyclic-union index the event-driven engine
+//!   asks for a node's listen and backoff-qualifying slots: exact counts
+//!   and next/n-th lookups over several periodic chains in closed form,
 //! * [`TschMac`] — the per-node MAC state machine: slot planning, queueing,
 //!   acknowledgements, retransmission (up to 4, Table II), exponential
 //!   backoff in shared cells, duty-cycle accounting and per-neighbor
@@ -52,6 +55,6 @@ pub use cell::{Cell, CellClass, CellOptions};
 pub use config::MacConfig;
 pub use hopping::{ChannelOffset, HoppingSequence};
 pub use mac::{MacCounters, SlotAction, SlotResult, TschMac};
-pub use slotframe::{Schedule, Slotframe, SlotframeHandle};
+pub use slotframe::{CyclicUnion, Schedule, Slotframe, SlotframeHandle};
 pub use stats::{EtxEstimator, LinkStats};
 pub use traffic::TrafficClass;

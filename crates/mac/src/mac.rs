@@ -8,7 +8,7 @@ use crate::backoff::SharedCellBackoff;
 use crate::cell::{Cell, CellClass};
 use crate::config::MacConfig;
 use crate::hopping::{ChannelOffset, HoppingSequence};
-use crate::slotframe::{count_congruent, crt_combine, Schedule, SlotframeHandle};
+use crate::slotframe::{CyclicUnion, Schedule, SlotframeHandle};
 use crate::stats::LinkStats;
 use crate::traffic::TrafficClass;
 
@@ -103,19 +103,23 @@ struct InFlight<P> {
     shared_cell: bool,
 }
 
-/// Schedule-derived wake tables, cached against [`Schedule::version`].
-#[derive(Debug, Clone)]
+/// Schedule-derived wake tables, cached against [`Schedule::version`]
+/// and rebuilt in place.
+#[derive(Debug, Clone, Default)]
 struct WakeCache {
-    version: u64,
-    /// `Some` when the schedule's listen slots are exactly enumerable by
-    /// the cyclic-union Rx index — any number of prioritized slotframes
-    /// within [`RxUnion`]'s complexity caps, which covers GT-TSCH's
-    /// single slotframe and Orchestra's three alike. The node is then a
-    /// *passive listener*: an event-driven engine can account its idle
-    /// listens without waking it (see [`TschMac::next_radio_wake`]).
-    /// `None` only for pathological schedules beyond the caps, which
-    /// fall back to waking on every active slot.
-    rx_union: Option<crate::slotframe::RxUnion>,
+    /// Schedule version the tables were built at (`None`: never built).
+    version: Option<u64>,
+    /// The schedule's listen index (see [`Schedule::listen_index_into`]).
+    listen: CyclicUnion,
+    /// True when `listen` is solved, i.e. the schedule's listen slots are
+    /// exactly countable in closed form — any number of prioritized
+    /// slotframes within the index's complexity caps, which covers
+    /// GT-TSCH's single slotframe and Orchestra's three alike. The node
+    /// is then a *passive listener*: an event-driven engine can account
+    /// its idle listens without waking it (see
+    /// [`TschMac::next_radio_wake`]). Only pathological schedules beyond
+    /// the caps fall back to waking on every active slot.
+    passive: bool,
     /// Listen-miss memo `(covered_from, next_listen)`: the node provably
     /// has no Rx slot in `[covered_from, next_listen)`. The engine's
     /// listener probe asks [`TschMac::listen_channel_at`] for every
@@ -123,6 +127,72 @@ struct WakeCache {
     /// answer — "not listening" — becomes O(1) instead of a union query.
     /// Rebuilt with the cache, so schedule changes invalidate it.
     listen_miss_memo: (u64, u64),
+}
+
+impl WakeCache {
+    /// The listen index of a passive listener, `None` otherwise.
+    fn passive_listen(&self) -> Option<&CyclicUnion> {
+        self.passive.then_some(&self.listen)
+    }
+}
+
+/// The shared-cell backoff's *qualifying* slots — slots holding at least
+/// one shared Tx cell with a matching queued frame — as a cyclic-union
+/// index with one chain per frame length. Between processings, queues and
+/// schedule are frozen, so the engine settles a whole skipped range's
+/// backoff consumption with one count instead of waking the node once
+/// per contended shared cell.
+#[derive(Debug, Clone, Default)]
+struct BackoffCells {
+    /// `(schedule version, control-queue mutations, data-queue
+    /// mutations)` the qualifying set was collected at: it is a pure
+    /// function of those, and contended nodes are probed as listeners
+    /// many times between mutations.
+    key: Option<(u64, u64, u64)>,
+    /// Whether any slot qualifies. While none does, `pairs` and `index`
+    /// keep the last non-empty set, so a queue that drains and refills
+    /// with the same traffic reuses its index.
+    any: bool,
+    /// Whether one slot holds several qualifying cells (a duplicate
+    /// `(frame length, offset)` pair): a second shared cell in the
+    /// window-exhausting slot could transmit in it, so the release slot
+    /// must stay conservative.
+    dup: bool,
+    /// The distinct qualifying `(frame length, slot offset)` pairs,
+    /// sorted — the set `index` was built from.
+    pairs: Vec<(u64, u64)>,
+    /// Collection scratch, reused so refreshing never allocates.
+    scratch: Vec<(u64, u64)>,
+    index: CyclicUnion,
+}
+
+impl BackoffCells {
+    /// The qualifying-slot index, `None` when no slot qualifies.
+    fn qualifying(&self) -> Option<&CyclicUnion> {
+        self.any.then_some(&self.index)
+    }
+
+    /// The slot at which a node with `pending` (≥ 1) backoff skips left
+    /// may next act on its shared cells: exactly the `(pending + 1)`-th
+    /// qualifying slot when a single cell qualifies (the skips in between
+    /// are provable sleeps), and conservatively the `pending`-th (the
+    /// last consuming slot, where `plan_slot` re-runs the exact per-slot
+    /// logic) when several cells make mid-slot exhaustion possible. With
+    /// many qualifying cells or a long window the node wakes at every
+    /// qualifying slot, which is always sound. `None` when nothing
+    /// qualifies.
+    fn release_slot(&self, from: u64, pending: u32) -> Option<u64> {
+        debug_assert!(pending > 0, "no backoff window pending");
+        let pending = u64::from(pending);
+        let n = if self.pairs.len() == 1 && !self.dup {
+            pending + 1
+        } else if self.pairs.len() > 4 || pending > 256 {
+            1
+        } else {
+            pending
+        };
+        self.qualifying()?.nth_at_or_after(from, n)
+    }
 }
 
 /// The TSCH MAC for one node.
@@ -182,7 +252,7 @@ pub struct TschMac<P> {
     /// Node id owning `link_stats[0]` (meaningless while empty).
     link_stats_base: usize,
     counters: MacCounters,
-    wake_cache: Option<WakeCache>,
+    wake_cache: WakeCache,
     /// Candidate-cell scratch for `plan_slot`, reused every active slot
     /// so the per-slot hot path never allocates.
     plan_scratch: Vec<(SlotframeHandle, Cell)>,
@@ -191,23 +261,10 @@ pub struct TschMac<P> {
     /// and between queue/schedule mutations the answer cannot change.
     radio_wake_memo: Option<RadioWakeMemo>,
     /// First ASN whose shared-cell backoff consumption has *not* been
-    /// applied yet. Between processings, queues and schedule are frozen,
-    /// so the slots in which `plan_slot` would have consumed one backoff
-    /// unit (some shared Tx cell with a matching queued frame) form a
-    /// small union of arithmetic progressions — the engine settles whole
-    /// skipped ranges in closed form ([`TschMac::settle_backoff_to`])
-    /// instead of waking the node once per contended shared cell.
+    /// applied yet ([`TschMac::settle_backoff_to`]).
     backoff_anchor: u64,
-    /// Scratch for the qualifying `(slot offset, frame length)`
-    /// progressions, reused so settling never allocates.
-    backoff_progs: Vec<(u64, u64)>,
-    /// Cache key for `backoff_progs`: `(schedule version, control-queue
-    /// mutations, data-queue mutations)`. The qualifying set is a pure
-    /// function of those, and contended nodes are probed as listeners
-    /// many times between mutations.
-    backoff_progs_key: Option<(u64, u64, u64)>,
-    /// Whether the cached `backoff_progs` suppressed a duplicate.
-    backoff_progs_dup: bool,
+    /// The slots in which `plan_slot` would consume one backoff unit.
+    backoff_cells: BackoffCells,
 }
 
 /// Cached `next_radio_wake` answer, keyed by everything that can move
@@ -225,78 +282,6 @@ struct RadioWakeMemo {
     pending_backoff: u32,
     from: u64,
     answer: Option<u64>,
-}
-
-/// Number of slots in `[from, to)` covered by at least one of the
-/// arithmetic progressions `(offset, period)`: inclusion–exclusion with
-/// CRT-combined overlap classes. Only the first 4 progressions enter the
-/// exclusion terms — callers with more progressions never let the engine
-/// skip a covered slot, so every range they query is covered-slot-free
-/// and all terms are zero regardless.
-fn count_progression_union(progs: &[(u64, u64)], from: u64, to: u64) -> u64 {
-    if to <= from || progs.is_empty() {
-        return 0;
-    }
-    if let [(off, len)] = progs {
-        return count_congruent(from, to, *off, *len);
-    }
-    let n = progs.len().min(4);
-    let mut total: i64 = 0;
-    for mask in 1u32..(1 << n) {
-        let mut combined: Option<(u64, u64)> = Some((0, 1));
-        for (i, &(off, len)) in progs[..n].iter().enumerate() {
-            if mask & (1 << i) == 0 {
-                continue;
-            }
-            combined = combined.and_then(|(r, m)| crt_combine(r, m, off, len));
-        }
-        let Some((r, m)) = combined else {
-            continue; // incompatible congruences: empty intersection
-        };
-        let sign: i64 = if mask.count_ones() % 2 == 1 { 1 } else { -1 };
-        total += sign * count_congruent(from, to, r, m) as i64;
-    }
-    total.max(0) as u64
-}
-
-/// The first slot at or after `from` covered by any progression.
-fn next_progression_occurrence(progs: &[(u64, u64)], from: u64) -> u64 {
-    progs
-        .iter()
-        .map(|&(off, len)| from + ((off + len - from % len) % len))
-        .min()
-        .expect("caller checks progs is non-empty")
-}
-
-/// The slot at which a node with `pending` backoff skips left may next
-/// act on its shared cells: exactly the `(pending + 1)`-th qualifying
-/// occurrence when the qualifying slots are a single clean progression
-/// (the skips in between are provable sleeps), and conservatively the
-/// `pending`-th (the last consuming slot, where `plan_slot` re-runs the
-/// exact per-slot logic) when several progressions or co-located cells
-/// make mid-slot exhaustion possible. `None` when nothing qualifies.
-fn backoff_release_slot(progs: &[(u64, u64)], dup: bool, from: u64, pending: u32) -> Option<u64> {
-    let pending = u64::from(pending);
-    match progs {
-        [] => None,
-        [(off, len)] if !dup => {
-            Some(next_progression_occurrence(&[(*off, *len)], from) + pending * len)
-        }
-        _ => {
-            if progs.len() > 4 || pending > 256 {
-                // Degenerate schedules: wake at every qualifying slot
-                // (the pre-settling behavior, always sound).
-                return Some(next_progression_occurrence(progs, from));
-            }
-            let mut cursor = from;
-            let mut last = from;
-            for _ in 0..pending {
-                last = next_progression_occurrence(progs, cursor);
-                cursor = last + 1;
-            }
-            Some(last)
-        }
-    }
 }
 
 impl<P: Clone> TschMac<P> {
@@ -323,13 +308,11 @@ impl<P: Clone> TschMac<P> {
             link_stats: Vec::new(),
             link_stats_base: 0,
             counters: MacCounters::default(),
-            wake_cache: None,
+            wake_cache: WakeCache::default(),
             plan_scratch: Vec::new(),
             radio_wake_memo: None,
             backoff_anchor: 0,
-            backoff_progs: Vec::new(),
-            backoff_progs_key: None,
-            backoff_progs_dup: false,
+            backoff_cells: BackoffCells::default(),
         }
     }
 
@@ -356,6 +339,12 @@ impl<P: Clone> TschMac<P> {
     /// Mutable schedule access for scheduling functions.
     pub fn schedule_mut(&mut self) -> &mut Schedule {
         &mut self.schedule
+    }
+
+    /// The shared-cell backoff state. Under the event-driven engine it
+    /// is settled lazily, up to the node's last processed slot.
+    pub fn backoff(&self) -> &SharedCellBackoff {
+        &self.backoff
     }
 
     /// Counters accumulated so far.
@@ -545,20 +534,14 @@ impl<P: Clone> TschMac<P> {
     /// Rebuilds the schedule-derived wake tables if the schedule changed.
     fn refresh_wake_cache(&mut self) {
         let version = self.schedule.version();
-        if self
-            .wake_cache
-            .as_ref()
-            .is_some_and(|c| c.version == version)
-        {
+        let cache = &mut self.wake_cache;
+        if cache.version == Some(version) {
             return;
         }
-        let rx_union = self.schedule.rx_union();
-        self.wake_cache = Some(WakeCache {
-            version,
-            rx_union,
-            // Empty interval: no slot is covered until the first miss.
-            listen_miss_memo: (1, 0),
-        });
+        cache.passive = self.schedule.listen_index_into(&mut cache.listen);
+        cache.version = Some(version);
+        // Empty interval: no slot is covered until the first miss.
+        cache.listen_miss_memo = (1, 0);
     }
 
     /// True when the node's Rx slots are exactly enumerable by the
@@ -568,9 +551,7 @@ impl<P: Clone> TschMac<P> {
     /// or its own pending traffic.
     pub fn is_passive_listener(&mut self) -> bool {
         self.refresh_wake_cache();
-        self.wake_cache
-            .as_ref()
-            .is_some_and(|c| c.rx_union.is_some())
+        self.wake_cache.passive
     }
 
     /// The next slot at or after `from` for which the *engine* must wake
@@ -620,13 +601,8 @@ impl<P: Clone> TschMac<P> {
                 let dedicated = self.schedule.next_active_asn(from, |cell| {
                     cell.options.tx && !cell.options.shared && self.has_frame_for(cell)
                 });
-                self.refresh_backoff_progs();
-                let release = backoff_release_slot(
-                    &self.backoff_progs,
-                    self.backoff_progs_dup,
-                    from.raw(),
-                    pending_backoff,
-                );
+                self.refresh_backoff_cells();
+                let release = self.backoff_cells.release_slot(from.raw(), pending_backoff);
                 match (dedicated.map(Asn::raw), release) {
                     (Some(d), Some(r)) => Some(Asn::new(d.min(r))),
                     (Some(d), None) => Some(Asn::new(d)),
@@ -651,11 +627,12 @@ impl<P: Clone> TschMac<P> {
     /// Settles the shared-cell backoff over `[backoff_anchor, to)`:
     /// every slot of the range in which `plan_slot` would have consumed
     /// one unit of pending window — some shared Tx cell with a matching
-    /// queued frame — is counted in closed form and consumed in bulk.
+    /// queued frame — is counted by the qualifying-slot index and
+    /// consumed in bulk.
     ///
     /// Must run at the *start* of processing the node (before any queue
-    /// or schedule mutation of the slot): the closed form relies on the
-    /// state having been frozen since the anchor, which is exactly the
+    /// or schedule mutation of the slot): the count relies on the state
+    /// having been frozen since the anchor, which is exactly the
     /// event-driven engine's skipped-range invariant. No-op on the naive
     /// oracle core, where every slot is processed and the range is
     /// always empty.
@@ -670,59 +647,60 @@ impl<P: Clone> TschMac<P> {
         {
             return;
         }
-        self.refresh_backoff_progs();
-        let progs = std::mem::take(&mut self.backoff_progs);
-        if !progs.is_empty() {
-            let q = count_progression_union(&progs, from, to);
+        self.refresh_backoff_cells();
+        if let Some(index) = self.backoff_cells.qualifying() {
+            let q = index.count_in(from, to);
             if q > 0 {
                 self.backoff
                     .on_shared_cells_skipped(q.min(u64::from(u32::MAX)) as u32);
             }
         }
-        self.backoff_progs = progs;
     }
 
-    /// Rebuilds the cached qualifying-progression set if the schedule or
-    /// either queue changed since it was last collected.
-    fn refresh_backoff_progs(&mut self) {
+    /// Re-collects the qualifying `(frame length, slot offset)` pairs if
+    /// the schedule or either queue changed since they were last
+    /// collected, and rebuilds the index only when the set itself moved.
+    fn refresh_backoff_cells(&mut self) {
         let key = (
             self.schedule.version(),
             self.control_queue.mutations(),
             self.data_queue.mutations(),
         );
-        if self.backoff_progs_key == Some(key) {
+        if self.backoff_cells.key == Some(key) {
             return;
         }
-        let mut progs = std::mem::take(&mut self.backoff_progs);
-        self.backoff_progs_dup = self.collect_backoff_progs(&mut progs);
-        self.backoff_progs = progs;
-        self.backoff_progs_key = Some(key);
-    }
-
-    /// Collects the `(slot offset, frame length)` progressions of the
-    /// node's *qualifying* slots — slots holding at least one shared Tx
-    /// cell with a matching queued frame — into `out` (deduplicated).
-    /// Returns `true` when a duplicate progression was suppressed, i.e.
-    /// one slot can hold several qualifying cells (the release-slot
-    /// computation must then stay conservative: a second shared cell in
-    /// the window-exhausting slot could transmit in it).
-    fn collect_backoff_progs(&self, out: &mut Vec<(u64, u64)>) -> bool {
-        out.clear();
-        let mut dup = false;
+        let mut found = std::mem::take(&mut self.backoff_cells.scratch);
+        found.clear();
         for (_, frame) in self.schedule.iter() {
             let len = u64::from(frame.length());
             for cell in frame.cells() {
                 if cell.options.tx && cell.options.shared && self.has_frame_for(cell) {
-                    let prog = (u64::from(cell.slot.raw()), len);
-                    if out.contains(&prog) {
-                        dup = true;
-                    } else {
-                        out.push(prog);
-                    }
+                    found.push((len, u64::from(cell.slot.raw())));
                 }
             }
         }
-        dup
+        found.sort_unstable();
+        let collected = found.len();
+        found.dedup();
+        let cells = &mut self.backoff_cells;
+        cells.key = Some(key);
+        cells.dup = found.len() < collected;
+        cells.any = !found.is_empty();
+        if cells.any && found != cells.pairs {
+            std::mem::swap(&mut found, &mut cells.pairs);
+            cells.index.clear();
+            // One chain per frame length (the pairs sort by length).
+            let mut rest = cells.pairs.as_slice();
+            while let Some(&(len, _)) = rest.first() {
+                let (chain, tail) = rest.split_at(rest.partition_point(|&(l, _)| l == len));
+                cells
+                    .index
+                    .push_chain(len, chain.iter().map(|&(_, offset)| offset));
+                rest = tail;
+            }
+            cells.index.solve();
+        }
+        cells.scratch = found;
     }
 
     /// The physical channel this node would listen on in slot `asn`, or
@@ -737,8 +715,8 @@ impl<P: Clone> TschMac<P> {
     /// not probes).
     pub fn listen_channel_at(&mut self, asn: Asn) -> Option<PhysicalChannel> {
         self.refresh_wake_cache();
-        let cache = self.wake_cache.as_mut()?;
-        let union = cache.rx_union.as_ref()?;
+        let cache = &mut self.wake_cache;
+        let union = cache.passive_listen()?;
         let a = asn.raw();
         let (covered_from, next_listen) = cache.listen_miss_memo;
         if covered_from <= a && a < next_listen {
@@ -750,7 +728,7 @@ impl<P: Clone> TschMac<P> {
         // Not listening at `a`: memoize the whole quiet gap, so the
         // engine's per-slot probes of this node answer in O(1) until its
         // next actual Rx slot.
-        let next = union.next_listen_at_or_after(a + 1).unwrap_or(u64::MAX);
+        let next = union.next_at_or_after(a + 1).unwrap_or(u64::MAX);
         cache.listen_miss_memo = (a, next);
         None
     }
@@ -780,13 +758,11 @@ impl<P: Clone> TschMac<P> {
     /// Debug-asserts that the wake cache really is current.
     pub fn next_listen_cached(&self, from: Asn) -> Option<(Asn, ChannelOffset)> {
         debug_assert!(
-            self.wake_cache
-                .as_ref()
-                .is_some_and(|c| c.version == self.schedule.version()),
+            self.wake_cache.version == Some(self.schedule.version()),
             "next_listen_cached on a stale wake cache"
         );
-        let union = self.wake_cache.as_ref()?.rx_union.as_ref()?;
-        let (next, offset) = union.next_listen_with_offset(from.raw())?;
+        let union = self.wake_cache.passive_listen()?;
+        let (next, offset) = union.next_with_channel_offset(from.raw())?;
         Some((Asn::new(next), offset))
     }
 
@@ -841,7 +817,7 @@ impl<P: Clone> TschMac<P> {
             return 0;
         }
         self.refresh_wake_cache();
-        let Some(union) = self.wake_cache.as_ref().and_then(|c| c.rx_union.as_ref()) else {
+        let Some(union) = self.wake_cache.passive_listen() else {
             return 0;
         };
         union.count_in(from.raw(), to.raw())

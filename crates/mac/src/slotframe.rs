@@ -1,8 +1,20 @@
-//! Slotframes and per-node schedules, plus the cyclic-union Rx index
-//! that lets the event-driven engine treat multi-slotframe schedules
-//! (Orchestra) as passive listeners: per-frame listen chains merged by
-//! exact cyclic arithmetic (CRT over the frame lengths), honoring the
-//! slotframe priority rule (EB < common < unicast).
+//! Slotframes and per-node schedules, plus the cyclic-union index: exact
+//! slot arithmetic over a union of periodic chains without materializing
+//! the `lcm`-length hyperperiod.
+//!
+//! A *chain* is one period (a slotframe length) with a sorted set of
+//! slot offsets; the chain covers every ASN `x` with `x mod len` in the
+//! set. The MAC keeps two [`CyclicUnion`]s per node: the schedule's
+//! listen index (one chain per slotframe, in priority order, each offset
+//! carrying the channel offset it listens on — see
+//! [`Schedule::listen_index_into`]), which lets the event-driven engine
+//! treat multi-slotframe schedules (Orchestra) as passive listeners, and
+//! the shared-cell backoff's qualifying slots (one chain per frame
+//! length). Both answer the engine's per-wake questions — how many
+//! covered slots lie in a skipped range, which is the next one, which is
+//! the n-th — with per-chain closed forms plus cross-chain overlap
+//! classes solved once, by the Chinese Remainder Theorem, when the
+//! chains are built.
 
 use std::fmt;
 
@@ -259,229 +271,289 @@ impl Schedule {
         self.frames.len()
     }
 
-    /// Builds the schedule's cyclic-union Rx index, if its listen slots
-    /// are exactly enumerable within the [`RxUnion`] complexity caps.
-    /// See [`RxUnion::build`]; chains inherit the schedule's priority
-    /// order, so lookups honor the same EB < common < unicast rule as
-    /// [`Schedule::cells_at`].
-    pub(crate) fn rx_union(&self) -> Option<RxUnion> {
-        RxUnion::build(self.frames.iter().map(|(_, f)| f))
-    }
-}
-
-/// One slotframe's *listen chain*: the sorted slot offsets at which the
-/// frame schedules an Rx cell, each with the channel offset of the first
-/// Rx cell at that offset — exactly the listen cell
-/// [`plan_slot`](crate::TschMac::plan_slot) picks when no transmission
-/// takes priority.
-#[derive(Debug, Clone)]
-pub(crate) struct RxChain {
-    /// Slotframe length in slots.
-    len: u64,
-    /// `(slot offset, channel offset)`, sorted by offset, deduplicated.
-    slots: Vec<(u64, ChannelOffset)>,
-}
-
-impl RxChain {
-    /// Extracts the listen chain of one slotframe.
-    fn of(frame: &Slotframe) -> RxChain {
-        let mut slots: Vec<(u64, ChannelOffset)> = Vec::new();
-        for cell in frame.cells() {
-            if cell.options.rx {
-                let off = cell.slot.raw() as u64;
-                // First Rx cell per offset wins, like plan_slot.
-                if !slots.iter().any(|&(o, _)| o == off) {
-                    slots.push((off, cell.channel_offset));
-                }
-            }
+    /// Rebuilds `index` in place as the schedule's listen index: one
+    /// listen chain per slotframe, in priority order, so lookups honor
+    /// the same EB < common < unicast rule as [`Schedule::cells_at`].
+    /// Returns whether the index is solved, i.e. its listen slots are
+    /// exactly countable in closed form (see [`CyclicUnion::solve`]).
+    pub fn listen_index_into(&self, index: &mut CyclicUnion) -> bool {
+        index.clear();
+        for (_, frame) in &self.frames {
+            index.push_listen_chain(
+                u64::from(frame.length()),
+                frame
+                    .cells()
+                    .iter()
+                    .filter(|c| c.options.rx)
+                    .map(|c| (u64::from(c.slot.raw()), c.channel_offset)),
+            );
         }
-        slots.sort_unstable_by_key(|&(o, _)| o);
-        RxChain {
-            len: frame.length() as u64,
-            slots,
-        }
+        index.solve()
     }
-
-    /// The channel offset this chain listens on at `asn_raw`, if any.
-    fn channel_offset_at(&self, asn_raw: u64) -> Option<ChannelOffset> {
-        let off = asn_raw % self.len;
-        self.slots
-            .binary_search_by_key(&off, |&(o, _)| o)
-            .ok()
-            .map(|i| self.slots[i].1)
-    }
-
-    /// The first slot at or after `from` in which this chain listens.
-    /// Chains are non-empty by construction, so an answer always exists.
-    fn next_at_or_after(&self, from: u64) -> u64 {
-        let off = from % self.len;
-        let i = self.slots.partition_point(|&(o, _)| o < off);
-        match self.slots.get(i) {
-            Some(&(o, _)) => from + (o - off),
-            // Wrap: the first offset of the next slotframe cycle.
-            None => from + (self.len - off) + self.slots[0].0,
-        }
-    }
-
-    /// How many slots in `[from, to)` this chain listens in. Pure cyclic
-    /// arithmetic: O(log slots), no per-slot work.
-    fn count_in(&self, from: u64, to: u64) -> u64 {
-        if to <= from {
-            return 0;
-        }
-        let k = self.slots.len() as u64;
-        if k == 0 {
-            return 0;
-        }
-        let len = self.len;
-        let span = to - from;
-        let offsets_below = |x: u64| self.slots.partition_point(|&(o, _)| o < x) as u64;
-        let start = from % len;
-        // Skipped ranges are usually shorter than one slotframe; keep the
-        // hot path to a single modulo (above) and no division.
-        let (full, rem) = if span < len {
-            (0, span)
-        } else {
-            (span / len, span % len)
-        };
-        let end = start + rem;
-        let partial = if end <= len {
-            offsets_below(end) - offsets_below(start)
-        } else {
-            (k - offsets_below(start)) + offsets_below(end - len)
-        };
-        full * k + partial
-    }
-}
-
-/// The cyclic union of a schedule's per-frame listen chains, in priority
-/// order: the event-driven engine's exact answer to "when would this
-/// (possibly multi-slotframe) node listen, and on which channel?" without
-/// materializing the `lcm`-length hyperperiod.
-///
-/// Counting listens over a skipped range uses inclusion–exclusion across
-/// chains: per-chain counts are closed-form ([`RxChain::count_in`]), and
-/// every cross-chain overlap is a simultaneous congruence solved exactly
-/// by the Chinese Remainder Theorem over the (not necessarily coprime)
-/// frame lengths.
-#[derive(Debug, Clone)]
-pub(crate) struct RxUnion {
-    /// Rx-bearing chains in slotframe priority order (frames without Rx
-    /// cells can never supply a listen and are dropped at build time).
-    chains: Vec<RxChain>,
-    /// Precomputed inclusion–exclusion correction terms for cross-chain
-    /// overlaps: `(sign, residue, modulus)` per solvable CRT system of a
-    /// ≥2-chain subset. Solving the congruences once at build time keeps
-    /// [`RxUnion::count_in`] — the engine's per-wake lazy-accounting hot
-    /// path — to one closed-form count per chain plus one per overlap
-    /// class, with no per-call gcd/inverse work.
-    overlaps: Vec<(i8, u64, u64)>,
 }
 
 /// Inclusion–exclusion enumerates one CRT system per combination of one
-/// Rx offset per chain subset; schedules whose combination count exceeds
-/// this bound (or with more than [`MAX_CHAINS`] Rx-bearing frames) fall
-/// back to always-wake semantics instead. Orchestra's three frames with a
-/// handful of Rx cells each sit orders of magnitude below both caps.
+/// offset per chain subset; unions whose combination count exceeds this
+/// bound (or with more than [`MAX_CHAINS`] chains) stay unsolved and
+/// count by walking their occurrences instead. Orchestra's three frames
+/// with a handful of Rx cells each sit orders of magnitude below both
+/// caps.
 const MAX_TUPLE_WORK: u64 = 4096;
 /// Chain-count cap: 2^4 − 1 = 15 subsets at most.
 const MAX_CHAINS: usize = 4;
 
-impl RxUnion {
-    /// Builds the union over `frames` (must be in priority order), or
-    /// `None` when the schedule exceeds the complexity caps and the
-    /// caller should treat the node as always-waking instead.
-    fn build<'a>(frames: impl Iterator<Item = &'a Slotframe>) -> Option<RxUnion> {
-        let mut chains = Vec::new();
-        let mut tuple_work: u64 = 1;
-        for frame in frames {
-            let chain = RxChain::of(frame);
-            if chain.slots.is_empty() {
-                continue;
+/// One chain: a period and its offsets `offsets[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    len: u64,
+    start: usize,
+    end: usize,
+}
+
+/// A union of periodic slot chains with pre-solved overlaps.
+///
+/// Build it in place — [`CyclicUnion::clear`], one
+/// [`CyclicUnion::push_chain`] (or [`CyclicUnion::push_listen_chain`])
+/// per period, then [`CyclicUnion::solve`] — so a rebuild reuses the
+/// previous build's buffers and allocates nothing once warm.
+///
+/// # Example
+///
+/// ```
+/// use gtt_mac::CyclicUnion;
+///
+/// let mut union = CyclicUnion::new();
+/// union.push_chain(4, [1]); // 1, 5, 9, 13, …
+/// union.push_chain(6, [1, 3]); // 1, 3, 7, 9, 13, 15, …
+/// assert!(union.solve());
+/// assert_eq!(union.count_in(0, 12), 5); // 1, 3, 5, 7, 9
+/// assert_eq!(union.next_at_or_after(10), Some(13));
+/// assert_eq!(union.nth_at_or_after(0, 4), Some(7));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct CyclicUnion {
+    /// Non-empty chains in insertion (priority) order.
+    chains: Vec<Chain>,
+    /// Every chain's offsets, each chain's run sorted and deduplicated.
+    offsets: Vec<u64>,
+    /// Listen channel offset per entry of `offsets`; empty for a union
+    /// built from plain chains.
+    channels: Vec<ChannelOffset>,
+    /// Inclusion–exclusion correction terms for cross-chain overlaps:
+    /// `(sign, residue, modulus)` per solvable CRT system of a ≥2-chain
+    /// subset.
+    overlaps: Vec<(i8, u64, u64)>,
+    /// True when `overlaps` is complete for the current chains.
+    solved: bool,
+}
+
+impl CyclicUnion {
+    /// Creates an empty union (it covers no slot).
+    pub fn new() -> Self {
+        CyclicUnion::default()
+    }
+
+    /// Removes every chain, keeping the buffers for the next build.
+    pub fn clear(&mut self) {
+        self.chains.clear();
+        self.offsets.clear();
+        self.channels.clear();
+        self.overlaps.clear();
+        self.solved = false;
+    }
+
+    /// Appends the chain of period `len` covering `offsets`; duplicates
+    /// collapse and an empty chain is dropped. Invalidates the solved
+    /// overlaps until the next [`CyclicUnion::solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero, an offset is not below `len`, or the
+    /// union already holds listen chains.
+    pub fn push_chain(&mut self, len: u64, offsets: impl IntoIterator<Item = u64>) {
+        assert!(
+            self.channels.is_empty(),
+            "plain chain pushed onto a listen index"
+        );
+        self.push_slots(len, offsets.into_iter().map(|o| (o, None)));
+    }
+
+    /// Appends a listen chain: `slots` are `(offset, channel offset)`
+    /// pairs, and for an offset listed twice the first pair wins (like
+    /// `plan_slot`, which listens on the first Rx cell of a slot).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero, an offset is not below `len`, or the
+    /// union already holds plain chains.
+    pub fn push_listen_chain(
+        &mut self,
+        len: u64,
+        slots: impl IntoIterator<Item = (u64, ChannelOffset)>,
+    ) {
+        assert!(
+            self.channels.len() == self.offsets.len(),
+            "listen chain pushed onto a plain index"
+        );
+        self.push_slots(len, slots.into_iter().map(|(o, c)| (o, Some(c))));
+    }
+
+    fn push_slots(&mut self, len: u64, slots: impl Iterator<Item = (u64, Option<ChannelOffset>)>) {
+        assert!(len > 0, "chain period must be positive");
+        self.solved = false;
+        self.overlaps.clear();
+        let start = self.offsets.len();
+        for (offset, channel) in slots {
+            assert!(offset < len, "offset {offset} outside period {len}");
+            let i = start + self.offsets[start..].partition_point(|&o| o < offset);
+            if self.offsets.get(i) == Some(&offset) {
+                continue; // first wins
             }
-            tuple_work = tuple_work.saturating_mul(chain.slots.len() as u64 + 1);
-            chains.push(chain);
+            self.offsets.insert(i, offset);
+            if let Some(channel) = channel {
+                self.channels.insert(i, channel);
+            }
         }
-        if chains.len() > MAX_CHAINS || tuple_work > MAX_TUPLE_WORK {
-            return None;
+        let end = self.offsets.len();
+        if end > start {
+            self.chains.push(Chain { len, start, end });
         }
-        // Pre-solve every ≥2-chain CRT system (schedules change rarely,
-        // counts run on every wake).
-        let mut overlaps = Vec::new();
-        if chains.len() > 1 {
-            let full = (1u32 << chains.len()) - 1;
+    }
+
+    /// Pre-solves every cross-chain overlap class, so counting runs in
+    /// closed form. Returns `false` (leaving the union unsolved) when the
+    /// chains exceed the complexity caps: counts then walk occurrences,
+    /// which is exact but costs one step per covered slot.
+    pub fn solve(&mut self) -> bool {
+        self.overlaps.clear();
+        let tuple_work = self
+            .chains
+            .iter()
+            .fold(1u64, |w, c| w.saturating_mul((c.end - c.start) as u64 + 1));
+        self.solved = self.chains.len() <= MAX_CHAINS && tuple_work <= MAX_TUPLE_WORK;
+        if self.solved && self.chains.len() > 1 {
+            let mut overlaps = std::mem::take(&mut self.overlaps);
+            let full = (1u32 << self.chains.len()) - 1;
             for mask in 1..=full {
                 if mask.count_ones() < 2 {
                     continue;
                 }
                 let sign: i8 = if mask.count_ones() % 2 == 1 { 1 } else { -1 };
-                collect_crt_tuples(&chains, mask, 0, 1, &mut |r, m| overlaps.push((sign, r, m)));
+                self.collect_crt_tuples(mask, 0, 1, &mut |r, m| overlaps.push((sign, r, m)));
             }
+            self.overlaps = overlaps;
         }
-        Some(RxUnion { chains, overlaps })
+        self.solved
     }
 
-    /// The channel offset the node would listen on at `asn_raw`, or
-    /// `None` when no chain schedules an Rx there. The first chain in
-    /// priority order wins, matching `plan_slot`'s candidate scan.
-    pub(crate) fn channel_offset_at(&self, asn_raw: u64) -> Option<ChannelOffset> {
+    /// True when some chain covers `at`.
+    pub fn contains(&self, at: u64) -> bool {
+        self.chains.iter().any(|c| self.index_at(c, at).is_some())
+    }
+
+    /// The listen channel offset at `at`: the first chain (in push
+    /// order) covering it wins. `None` when no chain covers `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the union was built from plain chains.
+    pub fn channel_offset_at(&self, at: u64) -> Option<ChannelOffset> {
         self.chains
             .iter()
-            .find_map(|c| c.channel_offset_at(asn_raw))
+            .find_map(|c| self.index_at(c, at))
+            .map(|i| self.channels[i])
     }
 
-    /// The first slot at or after `from` in which *any* chain listens,
-    /// or `None` for a union with no chains (the node never listens).
-    /// Powers the MAC's listen-miss memo: one query buys O(1) "not
-    /// listening" answers for every slot up to the result.
-    pub(crate) fn next_listen_at_or_after(&self, from: u64) -> Option<u64> {
-        self.chains.iter().map(|c| c.next_at_or_after(from)).min()
+    /// The first covered slot at or after `from`, or `None` for an empty
+    /// union.
+    pub fn next_at_or_after(&self, from: u64) -> Option<u64> {
+        self.chains.iter().map(|c| self.next_in(c, from).0).min()
     }
 
-    /// [`RxUnion::next_listen_at_or_after`] fused with the channel
-    /// lookup: the first listen slot at or after `from` together with
-    /// the channel offset used there (first chain in priority order wins
-    /// on ties, matching [`RxUnion::channel_offset_at`]). One pass over
-    /// the chains — this runs once per listen slot per probed node, the
-    /// engine's densest recurring query.
-    pub(crate) fn next_listen_with_offset(&self, from: u64) -> Option<(u64, ChannelOffset)> {
-        let mut best: Option<(u64, ChannelOffset)> = None;
+    /// [`CyclicUnion::next_at_or_after`] fused with the channel lookup:
+    /// the first listen slot at or after `from` and its channel offset
+    /// (the first chain wins ties, as in
+    /// [`CyclicUnion::channel_offset_at`]). The channel comes from the
+    /// same search that found the slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the union was built from plain chains.
+    pub fn next_with_channel_offset(&self, from: u64) -> Option<(u64, ChannelOffset)> {
+        let mut best: Option<(u64, usize)> = None;
         for chain in &self.chains {
-            let at = chain.next_at_or_after(from);
+            let (at, i) = self.next_in(chain, from);
             // Strictly-less keeps the earliest (priority-first) chain on
-            // ties, matching the per-slot lookup's first-wins rule.
+            // ties.
             if best.map_or(true, |(b, _)| at < b) {
-                let offset = chain
-                    .channel_offset_at(at)
-                    .expect("next_at_or_after returns a listen slot of the chain");
-                best = Some((at, offset));
+                best = Some((at, i));
             }
         }
-        best
+        best.map(|(at, i)| (at, self.channels[i]))
     }
 
-    /// Exact number of slots in `[from, to)` in which at least one chain
-    /// listens: inclusion–exclusion with the single-chain terms in
-    /// closed form and the pre-solved cross-chain overlap classes from
-    /// build time. Chains within a subset contribute one CRT system per
-    /// offset tuple; offsets within one chain are disjoint residues of
+    /// The `n`-th covered slot at or after `from` (`n = 1` is
+    /// [`CyclicUnion::next_at_or_after`]), or `None` for an empty union.
+    /// Closed form for a single-chain union; otherwise one step per
+    /// covered slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn nth_at_or_after(&self, from: u64, n: u64) -> Option<u64> {
+        assert!(n > 0, "occurrences are counted from 1");
+        match self.chains.as_slice() {
+            [] => None,
+            [chain] => {
+                let slots = self.slots(chain);
+                let k = slots.len() as u64;
+                let off = from % chain.len;
+                let idx = slots.partition_point(|&o| o < off) as u64 + (n - 1);
+                Some(from - off + (idx / k) * chain.len + slots[(idx % k) as usize])
+            }
+            _ => {
+                let mut at = self.next_at_or_after(from)?;
+                for _ in 1..n {
+                    at = self.next_at_or_after(at + 1)?;
+                }
+                Some(at)
+            }
+        }
+    }
+
+    /// Exact number of covered slots in `[from, to)`: inclusion–exclusion
+    /// with one closed-form count per chain plus one per pre-solved
+    /// overlap class. Offsets within one chain are disjoint residues of
     /// the same modulus, so no finer splitting is needed.
-    pub(crate) fn count_in(&self, from: u64, to: u64) -> u64 {
+    pub fn count_in(&self, from: u64, to: u64) -> u64 {
         if to <= from {
             return 0;
         }
         if to == from + 1 {
             // Frequently-woken nodes settle one slot at a time; a single
             // membership probe beats the inclusion–exclusion sums.
-            return u64::from(self.channel_offset_at(from).is_some());
+            return u64::from(self.contains(from));
         }
-        let singles: u64 = self.chains.iter().map(|c| c.count_in(from, to)).sum();
+        if !self.solved {
+            let mut count = 0;
+            let mut at = from;
+            while let Some(next) = self.next_at_or_after(at).filter(|&n| n < to) {
+                count += 1;
+                at = next + 1;
+            }
+            return count;
+        }
+        let singles: u64 = self
+            .chains
+            .iter()
+            .map(|c| self.count_chain(c, from, to))
+            .sum();
         let mut correction: i64 = 0;
         let span = to - from;
         for &(sign, r, m) in &self.overlaps {
             // Settled ranges are usually far shorter than an overlap
-            // class's modulus (the lcm of ≥ 2 frame lengths): the class
-            // then contributes 0 or 1, answerable with a single division
+            // class's modulus (the lcm of ≥ 2 periods): the class then
+            // contributes 0 or 1, answerable with a single division
             // instead of the two in the closed-form count.
             let count = if span <= m {
                 let rem = from % m;
@@ -499,35 +571,78 @@ impl RxUnion {
         debug_assert!(total >= 0, "inclusion-exclusion went negative");
         total as u64
     }
-}
 
-/// Walks every combination of one Rx offset per chain indexed by a set
-/// bit of `mask`, calling `out(r, m)` for each solvable simultaneous
-/// congruence system — the build-time half of the inclusion–exclusion in
-/// [`RxUnion::count_in`].
-fn collect_crt_tuples(
-    chains: &[RxChain],
-    mask: u32,
-    r: u64,
-    m: u64,
-    out: &mut impl FnMut(u64, u64),
-) {
-    if mask == 0 {
-        out(r, m);
-        return;
+    fn slots(&self, chain: &Chain) -> &[u64] {
+        &self.offsets[chain.start..chain.end]
     }
-    let i = mask.trailing_zeros() as usize;
-    let rest = mask & (mask - 1);
-    let chain = &chains[i];
-    for &(offset, _) in &chain.slots {
-        if let Some((r2, m2)) = crt_combine(r, m, offset, chain.len) {
-            collect_crt_tuples(chains, rest, r2, m2, out);
+
+    /// Index into `offsets` of `chain`'s entry covering `at`, if any.
+    fn index_at(&self, chain: &Chain, at: u64) -> Option<usize> {
+        self.slots(chain)
+            .binary_search(&(at % chain.len))
+            .ok()
+            .map(|i| chain.start + i)
+    }
+
+    /// The first slot at or after `from` that `chain` covers, with its
+    /// index into `offsets`. Chains are non-empty by construction.
+    fn next_in(&self, chain: &Chain, from: u64) -> (u64, usize) {
+        let slots = self.slots(chain);
+        let off = from % chain.len;
+        let i = slots.partition_point(|&o| o < off);
+        match slots.get(i) {
+            Some(&o) => (from + (o - off), chain.start + i),
+            // Wrap: the first offset of the next cycle.
+            None => (from + (chain.len - off) + slots[0], chain.start),
+        }
+    }
+
+    /// How many slots in `[from, to)` `chain` covers. Pure cyclic
+    /// arithmetic: O(log offsets), no per-slot work.
+    fn count_chain(&self, chain: &Chain, from: u64, to: u64) -> u64 {
+        let slots = self.slots(chain);
+        let k = slots.len() as u64;
+        let len = chain.len;
+        let span = to - from;
+        let offsets_below = |x: u64| slots.partition_point(|&o| o < x) as u64;
+        let start = from % len;
+        // Skipped ranges are usually shorter than one period; keep the
+        // hot path to a single modulo (above) and no division.
+        let (full, rem) = if span < len {
+            (0, span)
+        } else {
+            (span / len, span % len)
+        };
+        let end = start + rem;
+        let partial = if end <= len {
+            offsets_below(end) - offsets_below(start)
+        } else {
+            (k - offsets_below(start)) + offsets_below(end - len)
+        };
+        full * k + partial
+    }
+
+    /// Walks every combination of one offset per chain indexed by a set
+    /// bit of `mask`, calling `out(r, m)` for each solvable simultaneous
+    /// congruence system — the build-time half of the inclusion–exclusion
+    /// in [`CyclicUnion::count_in`].
+    fn collect_crt_tuples(&self, mask: u32, r: u64, m: u64, out: &mut impl FnMut(u64, u64)) {
+        if mask == 0 {
+            out(r, m);
+            return;
+        }
+        let chain = &self.chains[mask.trailing_zeros() as usize];
+        let rest = mask & (mask - 1);
+        for &offset in self.slots(chain) {
+            if let Some((r2, m2)) = crt_combine(r, m, offset, chain.len) {
+                self.collect_crt_tuples(rest, r2, m2, out);
+            }
         }
     }
 }
 
 /// Number of `x` in `[from, to)` with `x ≡ r (mod m)` (`r < m`).
-pub(crate) fn count_congruent(from: u64, to: u64, r: u64, m: u64) -> u64 {
+fn count_congruent(from: u64, to: u64, r: u64, m: u64) -> u64 {
     debug_assert!(r < m, "residue must be reduced");
     let below = |n: u64| if n > r { (n - 1 - r) / m + 1 } else { 0 };
     below(to).saturating_sub(below(from))
@@ -536,9 +651,9 @@ pub(crate) fn count_congruent(from: u64, to: u64, r: u64, m: u64) -> u64 {
 /// Solves `x ≡ r1 (mod m1)`, `x ≡ r2 (mod m2)` for possibly non-coprime
 /// moduli: `Some((r, lcm(m1, m2)))` with `r < lcm`, or `None` when the
 /// congruences are incompatible (`r1 ≢ r2 mod gcd`). Intermediates use
-/// `u128`/`i128`: with ≤ [`MAX_CHAINS`] chains of `u16` lengths the lcm
+/// `u128`/`i128`: with ≤ [`MAX_CHAINS`] chains of `u16` periods the lcm
 /// stays below 2⁶⁴, but products en route do not.
-pub(crate) fn crt_combine(r1: u64, m1: u64, r2: u64, m2: u64) -> Option<(u64, u64)> {
+fn crt_combine(r1: u64, m1: u64, r2: u64, m2: u64) -> Option<(u64, u64)> {
     let g = gcd(m1, m2);
     let diff = r2 as i128 - r1 as i128;
     if diff.rem_euclid(g as i128) != 0 {
@@ -768,7 +883,8 @@ mod tests {
                 }
                 sched.add_slotframe(SlotframeHandle::new(i as u8), f);
             }
-            let union = sched.rx_union().expect("within caps");
+            let mut union = CyclicUnion::new();
+            assert!(sched.listen_index_into(&mut union), "within caps");
             // Brute-force listen map over a few hyperperiods.
             let horizon = 3 * shape.iter().map(|(l, _)| *l as u64).product::<u64>();
             let expect_co = |asn: u64| {
@@ -811,7 +927,8 @@ mod tests {
         lo.add(rx_cell(0, 9));
         sched.add_slotframe(SlotframeHandle::new(1), lo);
         sched.add_slotframe(SlotframeHandle::new(0), hi);
-        let union = sched.rx_union().expect("within caps");
+        let mut union = CyclicUnion::new();
+        assert!(sched.listen_index_into(&mut union), "within caps");
         assert_eq!(union.channel_offset_at(0), Some(ChannelOffset::new(7)));
         // ASN 2: only the length-2 frame listens.
         assert_eq!(union.channel_offset_at(2), Some(ChannelOffset::new(9)));
@@ -828,7 +945,11 @@ mod tests {
             f.add(rx_cell(0, i));
             sched.add_slotframe(SlotframeHandle::new(i), f);
         }
-        assert!(sched.rx_union().is_none(), "cap exceeded ⇒ always-wake");
+        let mut union = CyclicUnion::new();
+        assert!(
+            !sched.listen_index_into(&mut union),
+            "cap exceeded ⇒ always-wake"
+        );
         // Rx-less frames do not count against the caps.
         let mut sparse = Schedule::new();
         for i in 0..6u8 {
@@ -836,7 +957,10 @@ mod tests {
             f.add(cell(0, i)); // Tx-only
             sparse.add_slotframe(SlotframeHandle::new(i), f);
         }
-        let union = sparse.rx_union().expect("tx-only frames are free");
+        assert!(
+            sparse.listen_index_into(&mut union),
+            "tx-only frames are free"
+        );
         assert_eq!(union.count_in(0, 1_000), 0, "never listens");
         assert_eq!(union.channel_offset_at(0), None);
     }
@@ -863,6 +987,46 @@ mod tests {
         assert_eq!(count_congruent(6, 6, 0, 5), 0);
         assert_eq!(count_congruent(7, 8, 2, 5), 1);
         assert_eq!(count_congruent(8, 12, 2, 5), 0);
+    }
+
+    #[test]
+    fn single_chain_nth_is_closed_form_and_wraps() {
+        let mut union = CyclicUnion::new();
+        union.push_chain(10, [7, 2, 2]);
+        assert!(union.solve());
+        assert_eq!(union.nth_at_or_after(3, 1), Some(7));
+        assert_eq!(union.nth_at_or_after(3, 2), Some(12));
+        assert_eq!(union.nth_at_or_after(8, 1), Some(12));
+        assert_eq!(union.nth_at_or_after(8, 5), Some(32));
+        assert_eq!(union.count_in(0, 30), 6);
+    }
+
+    #[test]
+    fn unsolved_union_still_counts_exactly() {
+        // Five chains exceed the cap; counting walks occurrences.
+        let mut union = CyclicUnion::new();
+        for len in 2..7 {
+            union.push_chain(len, [0]);
+        }
+        assert!(!union.solve());
+        // Multiples of 2..=6 in [1, 13): 2,3,4,5,6,8,9,10,12.
+        assert_eq!(union.count_in(1, 13), 9);
+    }
+
+    #[test]
+    fn rebuild_in_place_forgets_old_chains() {
+        let mut union = CyclicUnion::new();
+        union.push_listen_chain(4, [(1, ChannelOffset::new(3))]);
+        union.push_listen_chain(6, [(2, ChannelOffset::new(5))]);
+        assert!(union.solve());
+        union.clear();
+        union.push_chain(5, [0]);
+        union.solve();
+        assert_eq!(union.count_in(0, 20), 4);
+        assert_eq!(union.next_at_or_after(1), Some(5));
+        union.clear();
+        assert_eq!(union.next_at_or_after(0), None);
+        assert_eq!(union.count_in(0, 100), 0);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //!   `SmallRng`), so every experiment in the paper reproduction is exactly
 //!   replayable from a seed,
 //! * [`EventQueue`] — a stable-ordered future event list,
-//! * [`Timer`] / [`TimerWheel`] — periodic and one-shot timers checked at
-//!   slot boundaries,
+//! * [`Timer`] — periodic and one-shot timers checked at slot boundaries,
 //! * [`trace`] — lightweight structured trace hooks used by the engine and
 //!   the test suite.
 //!
@@ -39,4 +38,4 @@ pub mod trace;
 pub use events::EventQueue;
 pub use rng::{Pcg32, SplitMix64};
 pub use time::{SimDuration, SimTime};
-pub use timer::{Timer, TimerWheel};
+pub use timer::Timer;

@@ -1,12 +1,17 @@
 //! Property-based tests (proptest) over the core data structures and
 //! algorithms: the game's optimality claim, the 6P codec, the channel
-//! allocator, queues, slotframes and the packet tracker.
+//! allocator, queues, slotframes, the cyclic-union index and the MAC's
+//! backoff settling, and the packet tracker.
 
 use proptest::prelude::*;
 
 use gt_tsch::game::{GameInputs, GameWeights};
 use gt_tsch::ChannelAllocator;
-use gtt_mac::{Asn, ChannelOffset, HoppingSequence};
+use gtt_mac::{
+    Asn, Cell, CellClass, CellOptions, ChannelOffset, CyclicUnion, HoppingSequence, MacConfig,
+    Schedule, SlotAction, SlotOffset, SlotResult, Slotframe, SlotframeHandle, TrafficClass,
+    TschMac,
+};
 use gtt_metrics::PacketTracker;
 use gtt_net::{
     Dest, DrawStreams, Frame, LinkModel, Listener, NodeId, PacketId, PacketQueue, PhysicalChannel,
@@ -704,5 +709,260 @@ proptest! {
             .nodes(topo.node_ids().map(|id| topo.position(id)).collect::<Vec<_>>())
             .build();
         prop_assert_eq!(&topo, &rebuilt, "incremental state diverged from a fresh build");
+    }
+}
+
+// ------------------------------------------------- cyclic-union index
+
+/// Random chain periods for the cyclic-union legs: 1–4 lengths in
+/// 2..=101, drawn either around a shared factor (non-coprime by
+/// construction) or freely, with every draw kept only while the
+/// hyperperiod stays small enough to enumerate several times over.
+fn arb_chain_lengths(rng: &mut Pcg32) -> Vec<u64> {
+    const MAX_HYPERPERIOD: u64 = 12_000;
+    fn lcm(a: u64, b: u64) -> u64 {
+        let (mut x, mut y) = (a, b);
+        while y != 0 {
+            (x, y) = (y, x % y);
+        }
+        a / x * b
+    }
+    let frames = 1 + rng.gen_index(4);
+    let factor = if rng.gen_bool(0.5) {
+        2 + u64::from(rng.gen_range_u32(0, 11))
+    } else {
+        1
+    };
+    let mut lengths: Vec<u64> = Vec::new();
+    let mut hyper = 1;
+    while lengths.len() < frames {
+        let len = (1..20)
+            .map(|_| factor * u64::from(rng.gen_range_u32(1, 101 / factor as u32 + 1)))
+            .find(|&l| (2..=101).contains(&l) && lcm(hyper, l) <= MAX_HYPERPERIOD)
+            // No fitting draw: repeat a length (equal periods are a case
+            // of their own).
+            .unwrap_or_else(|| lengths.first().copied().unwrap_or(2 * factor.min(50)));
+        hyper = lcm(hyper, len);
+        lengths.push(len);
+    }
+    lengths
+}
+
+proptest! {
+    /// The cyclic-union index answers counts, next, n-th and listen
+    /// channel lookups exactly like brute-force slot enumeration, over
+    /// random chain sets (1–4 frames, non-coprime lengths 2–101, 1–6
+    /// offsets per frame including duplicates) and ranges spanning
+    /// several hyperperiods — solved (closed form) and unsolved
+    /// (occurrence walk) alike.
+    #[test]
+    fn cyclic_union_matches_brute_force(seed in 0u64..1_000_000) {
+        let mut rng = Pcg32::new(seed ^ 0xc1c1_0000);
+        let lengths = arb_chain_lengths(&mut rng);
+        let chains: Vec<(u64, Vec<(u64, ChannelOffset)>)> = lengths
+            .iter()
+            .map(|&len| {
+                let k = 1 + rng.gen_index(6);
+                let slots = (0..k)
+                    .map(|_| {
+                        let offset = u64::from(rng.gen_range_u32(0, len as u32));
+                        (offset, ChannelOffset::new(rng.gen_range_u32(0, 16) as u8))
+                    })
+                    .collect();
+                (len, slots)
+            })
+            .collect();
+        let mut listen = CyclicUnion::new();
+        let mut plain = CyclicUnion::new();
+        for (len, slots) in &chains {
+            listen.push_listen_chain(*len, slots.iter().copied());
+            plain.push_chain(*len, slots.iter().map(|&(o, _)| o));
+        }
+        // `plain` is never solved: its counts walk occurrences.
+        prop_assert!(listen.solve(), "four chains of ≤ 6 offsets are within the caps");
+
+        // Brute force: first chain (in push order) listing an offset
+        // first wins the channel, as in `plan_slot`.
+        let channel_at = |at: u64| {
+            chains.iter().find_map(|(len, slots)| {
+                slots.iter().find(|&&(o, _)| o == at % len).map(|&(_, c)| c)
+            })
+        };
+        let hyper = lengths.iter().fold(1u64, |h, &l| {
+            let (mut x, mut y) = (h, l);
+            while y != 0 {
+                (x, y) = (y, x % y);
+            }
+            h / x * l
+        });
+        // Room for every queried range (`from` < 2 hyperperiods, spans
+        // < 3 hyperperiods or < 200 slots) and for 12 occurrences past
+        // the furthest `from` (at least one per hyperperiod).
+        let horizon = 15 * hyper + 200;
+        let covered: Vec<u64> = (0..horizon).filter(|&a| channel_at(a).is_some()).collect();
+        let count_below = |x: u64| covered.partition_point(|&c| c < x) as u64;
+        for a in 0..(2 * hyper).min(5_000) {
+            prop_assert_eq!(listen.channel_offset_at(a), channel_at(a), "channel at {}", a);
+            prop_assert_eq!(plain.contains(a), channel_at(a).is_some());
+        }
+        for _ in 0..60 {
+            let from = u64::from(rng.gen_range_u32(0, (2 * hyper) as u32));
+            let span = match rng.gen_index(4) {
+                0 => u64::from(rng.gen_range_u32(0, 3)),
+                1 => u64::from(rng.gen_range_u32(0, 200)),
+                _ => u64::from(rng.gen_range_u32(0, (3 * hyper + 1) as u32)),
+            };
+            let to = from + span;
+            let expected = count_below(to) - count_below(from);
+            prop_assert_eq!(listen.count_in(from, to), expected, "count [{}, {})", from, to);
+            prop_assert_eq!(plain.count_in(from, to), expected, "walked count [{}, {})", from, to);
+
+            let first = count_below(from) as usize;
+            prop_assert_eq!(listen.next_at_or_after(from), Some(covered[first]));
+            prop_assert_eq!(
+                listen.next_with_channel_offset(from),
+                Some((covered[first], channel_at(covered[first]).unwrap()))
+            );
+            let n = 1 + rng.gen_index(12) as u64;
+            let nth = covered[first + n as usize - 1];
+            prop_assert_eq!(listen.nth_at_or_after(from, n), Some(nth), "{}-th from {}", n, from);
+            prop_assert_eq!(plain.nth_at_or_after(from, n), Some(nth));
+        }
+        // A single chain's n-th lookup is closed form; pin it on the
+        // first chain alone, far past the first cycle.
+        let mut single = CyclicUnion::new();
+        single.push_chain(chains[0].0, chains[0].1.iter().map(|&(o, _)| o));
+        single.solve();
+        let own: Vec<u64> = (0..horizon)
+            .filter(|a| chains[0].1.iter().any(|&(o, _)| o == a % chains[0].0))
+            .collect();
+        for n in [1u64, 2, 7, 40] {
+            let from = u64::from(rng.gen_range_u32(0, hyper as u32));
+            let first = own.partition_point(|&c| c < from);
+            if let Some(&expected) = own.get(first + n as usize - 1) {
+                prop_assert_eq!(single.nth_at_or_after(from, n), Some(expected));
+            }
+        }
+    }
+}
+
+/// A random shared-cell schedule for the backoff-settling leg: 1–3
+/// slotframes mixing shared Tx|Rx cells, shared Tx-only cells, the
+/// broadcast control cell, dedicated data Tx/Rx cells and co-located
+/// cells (several in one slot).
+fn arb_backoff_schedule(rng: &mut Pcg32) -> Schedule {
+    let mut schedule = Schedule::new();
+    for handle in 0..1 + rng.gen_index(3) {
+        let len = 3 + rng.gen_range_u32(0, 22) as u16;
+        let mut frame = Slotframe::new(len);
+        for _ in 0..1 + rng.gen_index(5) {
+            let slot = SlotOffset::new(rng.gen_range_u32(0, u32::from(len)) as u16);
+            let co = ChannelOffset::new(rng.gen_range_u32(0, 4) as u8);
+            let shared_tx_only = CellOptions {
+                tx: true,
+                rx: false,
+                shared: true,
+            };
+            frame.add(match rng.gen_index(5) {
+                0 => Cell::new(
+                    slot,
+                    co,
+                    CellOptions::TX_RX_SHARED,
+                    Dest::Broadcast,
+                    CellClass::Shared,
+                ),
+                1 => Cell::new(slot, co, shared_tx_only, Dest::Broadcast, CellClass::Shared),
+                2 => Cell::broadcast(slot, co),
+                3 => Cell::data_tx(slot, co, NodeId::new(0)),
+                _ => Cell::data_rx(slot, co, NodeId::new(2)),
+            });
+        }
+        schedule.add_slotframe(SlotframeHandle::new(handle as u8), frame);
+    }
+    schedule
+}
+
+proptest! {
+    /// The event-driven MAC path — wake only at `next_radio_wake`,
+    /// account skipped slots in bulk, let `plan_slot` settle the
+    /// shared-cell backoff over the skipped range — transmits in exactly
+    /// the slots, with exactly the backoff state and counters, of a
+    /// slot-by-slot `plan_slot` loop. Random shared-cell schedules with
+    /// queued unicast data and control frames, and acknowledgements
+    /// that fail often enough to keep backoff windows pending.
+    #[test]
+    fn settled_backoff_matches_slot_by_slot_plan(seed in 0u64..1_000_000) {
+        const HORIZON: u64 = 3_000;
+        let mut rng = Pcg32::new(seed ^ 0xbac0_ff00);
+        let mut mac: TschMac<u32> = TschMac::new(
+            NodeId::new(1),
+            MacConfig::paper_default(),
+            HoppingSequence::paper_default(),
+            Pcg32::new(seed),
+        );
+        *mac.schedule_mut() = arb_backoff_schedule(&mut rng);
+        let parent = Dest::Unicast(NodeId::new(0));
+        for p in 0..1 + rng.gen_range_u32(0, 8) {
+            let frame = Frame::new(PacketId::new(u64::from(p)), NodeId::new(1), parent, SimTime::ZERO, p);
+            mac.enqueue_data(frame).unwrap();
+        }
+        for p in 100..100 + rng.gen_range_u32(0, 3) {
+            let frame = Frame::new(PacketId::new(u64::from(p)), NodeId::new(1), parent, SimTime::ZERO, p);
+            mac.enqueue_control(frame, TrafficClass::ControlUnicast).unwrap();
+        }
+        if rng.gen_bool(0.5) {
+            let frame = Frame::new(PacketId::new(200), NodeId::new(1), Dest::Broadcast, SimTime::ZERO, 200);
+            mac.enqueue_control(frame, TrafficClass::Broadcast).unwrap();
+        }
+        let fail_p = 0.3 + 0.5 * rng.gen_f64();
+        // Acknowledgement of the k-th unicast attempt: a pure function of
+        // (seed, k), so both loops see the same channel.
+        let acked = |k: u64| !Pcg32::with_stream(seed, k).gen_bool(fail_p);
+        let finish = |mac: &mut TschMac<u32>, action: SlotAction<u32>, asn: u64, log: &mut Vec<(u64, u32)>| {
+            let result = match action {
+                SlotAction::Transmit { frame, .. } => {
+                    let k = log.len() as u64;
+                    log.push((asn, frame.payload));
+                    SlotResult::Transmitted {
+                        acked: (!frame.dst.is_broadcast()).then(|| acked(k)),
+                    }
+                }
+                SlotAction::Listen { .. } => SlotResult::Listened(RxOutcome::Idle),
+                SlotAction::Sleep => SlotResult::Slept,
+            };
+            mac.finish_slot(result);
+        };
+
+        let mut event = mac.clone();
+        let mut oracle = mac;
+        let mut oracle_log = Vec::new();
+        for asn in 0..HORIZON {
+            let action = oracle.plan_slot(Asn::new(asn));
+            finish(&mut oracle, action, asn, &mut oracle_log);
+        }
+
+        prop_assert!(event.is_passive_listener(), "≤ 3 frames are within the caps");
+        let mut event_log = Vec::new();
+        let mut next = 0;
+        while let Some(wake) = event.next_radio_wake(Asn::new(next)).map(Asn::raw) {
+            prop_assert!(wake >= next, "wake {} before {}", wake, next);
+            if wake >= HORIZON {
+                break;
+            }
+            let listens = event.count_listen_slots(Asn::new(next), Asn::new(wake));
+            event.account_skipped(wake - next, listens);
+            let action = event.plan_slot(Asn::new(wake));
+            finish(&mut event, action, wake, &mut event_log);
+            next = wake + 1;
+        }
+        let listens = event.count_listen_slots(Asn::new(next), Asn::new(HORIZON));
+        event.account_skipped(HORIZON - next, listens);
+        event.settle_backoff_to(HORIZON);
+
+        prop_assert_eq!(&event_log, &oracle_log, "transmission slots diverge");
+        prop_assert_eq!(event.backoff(), oracle.backoff());
+        prop_assert_eq!(event.counters(), oracle.counters());
+        prop_assert_eq!(event.data_queue_len(), oracle.data_queue_len());
+        prop_assert_eq!(event.control_queue_len(), oracle.control_queue_len());
     }
 }
