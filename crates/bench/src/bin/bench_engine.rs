@@ -574,9 +574,9 @@ fn main() {
             .map(|_| std::sync::Mutex::new(None))
             .collect();
         let next = std::sync::atomic::AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..jobs.min(selected.len()) {
-                scope.spawn(|_| loop {
+                scope.spawn(|| loop {
                     let j = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if j >= selected.len() {
                         break;
@@ -586,8 +586,7 @@ fn main() {
                     *slots[j].lock().expect("no poisoned case slot") = Some(m);
                 });
             }
-        })
-        .expect("bench case thread panicked");
+        });
         slots
             .into_iter()
             .map(|s| {

@@ -5,11 +5,11 @@
 //! seeds instead of 5; cells are served from / into the persistent
 //! sweep cache (default `target/sweep-cache`) unless `--no-cache` is
 //! given. `--list` prints one `<key> <hit|miss> <encoded experiment>`
-//! line per cell without simulating (the dry-run that feeds
-//! `sweep_worker` shard files); `--enqueue` adds uncached cells to a
-//! fault-tolerant work-stealing queue (`sweep_worker --queue`);
-//! `--cache-only` renders from whatever the cache holds, reporting
-//! absent cells per point as `n/a`. See `--help`.
+//! line per cell without simulating (a dry run); `--enqueue` adds
+//! uncached cells to a fault-tolerant work-stealing queue
+//! (`sweep_worker --queue`); `--cache-only` renders from whatever the
+//! cache holds, reporting absent cells per point as `n/a`. See
+//! `--help`.
 
 use gtt_bench::{fig8_sweeps, figure_main};
 

@@ -36,10 +36,10 @@ pub struct FigureSweep {
 
 /// Parses `--jobs N` from an argv slice: `0` (auto — one worker per
 /// available core) when the flag is absent. Shared by every binary that
-/// fans simulation out over threads (`fig*`, `bench_engine`,
-/// `sweep_worker`). A missing or non-positive value prints an error to
-/// stderr and exits with status 2 — a silently defaulted job count
-/// would hide a typo in a benchmark command line.
+/// fans simulation out over threads (`fig*`, `bench_engine`). A
+/// missing or non-positive value prints an error to stderr and exits
+/// with status 2 — a silently defaulted job count would hide a typo in
+/// a benchmark command line.
 pub fn jobs_from(args: &[String]) -> usize {
     match args.iter().position(|a| a == "--jobs") {
         Some(i) => match args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
@@ -57,7 +57,7 @@ pub fn jobs_from(args: &[String]) -> usize {
 enum Mode {
     /// Simulate (or serve from cache) and print the tables.
     Run,
-    /// Print `<key> <hit|miss> <hex>` shard lines; simulate nothing.
+    /// Print `<key> <hit|miss> <hex>` lines; simulate nothing.
     List,
     /// Populate a work-stealing queue directory with the cells.
     Enqueue(PathBuf),
@@ -96,7 +96,7 @@ fn help(bin: &str) -> String {
          figure's first cell (first point, first seed) to PATH;\n                       \
          deterministic — same binary and flags, same bytes\n  \
          --list               print one '<key> <hit|miss> <hex experiment>' line\n                       \
-         per cell, without simulating (sweep_worker shard input)\n  \
+         per cell, without simulating (a dry run)\n  \
          --enqueue QUEUE_DIR  add every cell not already cached to a\n                       \
          work-stealing queue directory (see sweep_worker --queue)\n  \
          --help               this text\n",

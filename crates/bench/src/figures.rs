@@ -1,11 +1,10 @@
 //! The figure sweeps of the paper's evaluation (§VIII).
 //!
 //! Every sweep exists twice: a `*_points()` constructor returning the
-//! declarative [`SweepPoint`] list (what `--list` renders into
-//! `sweep_worker` shard files) and a runner returning the raw
-//! [`SweepResults`], so the binaries (printing tables), the sharding
-//! dry-run and the integration tests all share one description of each
-//! figure.
+//! declarative [`SweepPoint`] list (what `--list` prints and
+//! `--enqueue` queues) and a runner returning the raw [`SweepResults`],
+//! so the binaries (printing tables), the `--list` dry run, the queue
+//! and the integration tests all share one description of each figure.
 
 use gt_tsch::{GameWeights, GtTschConfig};
 use gtt_orchestra::OrchestraConfig;

@@ -11,15 +11,15 @@
 //! | `ablation_weights` | §VII-D discussion | α/β/γ settings of the payoff |
 //! | `ablation_channel` | §III strategies | Algorithm 1 vs hash-based channels |
 //! | `diagnose` | — | one verbose run with per-node breakdown |
-//! | `sweep_worker` | — | fills the sweep cache from shard files or a work-stealing queue |
+//! | `sweep_worker` | — | fills the sweep cache from a work-stealing queue |
 //!
 //! Each figure binary prints the paper's six series (PDR, end-to-end
 //! delay, packet loss, radio duty cycle, queue loss, received
 //! packets/minute) as one table per sub-figure, averaged over seeds,
 //! ready to paste into `EXPERIMENTS.md` — or, with `--list`, dumps its
-//! cells as canonical-key / cache-status / encoded-experiment lines for
-//! cross-process sharding via `sweep_worker`, or, with `--enqueue`,
-//! feeds them to the fault-tolerant queue fabric of [`queue`].
+//! cells as canonical-key / cache-status / encoded-experiment lines, or,
+//! with `--enqueue`, feeds them to the fault-tolerant queue fabric of
+//! [`queue`] that `sweep_worker` processes drain.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +42,6 @@ pub use queue::{
     QueueWorkerStats, Requeue, StaleTracker,
 };
 pub use sweep::{
-    cell_key, ensure_cached, probe_cached, render_shard_list, PointResult, SweepConfig, SweepPoint,
-    SweepResults,
+    cell_key, probe_cached, render_shard_list, PointResult, SweepConfig, SweepPoint, SweepResults,
 };
 pub use table::render_figure_tables;

@@ -1,20 +1,23 @@
 //! Fault-tolerant work-stealing sweep queue.
 //!
-//! `sweep_worker`'s shard files (PR 5/6) statically partition a
-//! figure's cells: a worker that dies takes its shard with it and a
-//! slow worker straggles the whole figure. This module replaces the
-//! static partition with an on-disk *queue directory* that any number
-//! of workers — threads, processes, or (over a shared filesystem)
-//! hosts — drain cooperatively, surviving crashes of any of them:
+//! A static partition of a figure's cells loses the share of a worker
+//! that dies, and a slow worker straggles the whole figure. This module
+//! instead keeps the cells in an on-disk *queue directory* that any
+//! number of workers — threads, processes, or (over a shared
+//! filesystem) hosts — drain cooperatively, surviving crashes of any of
+//! them:
 //!
 //! ```text
 //! queue/
 //!   pending/<key>   cell waiting to be claimed
 //!   leases/<key>    cell being computed; carries worker id + heartbeat
 //!   done/<key>      completion marker (result lives in the sweep cache)
-//!   failed/<key>    cell parked after its retry budget; a valid shard
-//!                   file (`# error` comment + experiment hex line)
+//!   failed/<key>    cell parked after its retry budget: a `# error`
+//!                   comment, then the cell's `--list` line
 //! ```
+//!
+//! A parked cell is re-run, once its cause is fixed, by deleting
+//! `failed/<key>` and enqueueing the figure again (`--enqueue`).
 //!
 //! Every transition is a single atomic `rename` on one filesystem (the
 //! same temp+rename discipline as the sweep cache), so each cell is in
@@ -67,7 +70,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam::thread;
 use gtt_workload::Experiment;
 
 use crate::sweep::{
@@ -309,11 +311,11 @@ impl QueueDir {
         }
     }
 
-    /// Parks a leased cell in `failed/` with the captured error. The
-    /// failed entry is a valid shard file (comment + hex line), so a
-    /// parked cell can be re-run by hand with
-    /// `sweep_worker --cache-dir DIR queue/failed/<key>` after the
-    /// cause is fixed.
+    /// Parks a leased cell in `failed/` with the captured error: a
+    /// `# error` comment line, then the cell's `--list` line
+    /// (`<key> miss <hex>`). While the entry exists, [`enqueue_points`]
+    /// skips the cell; deleting it and enqueueing again re-runs the
+    /// cell once its cause is fixed.
     pub fn park(&self, key: &str, error: &str, hex: &str) -> std::io::Result<()> {
         let error = error.replace('\n', " ");
         self.write_atomic("failed", key, &format!("# {error}\n{key} miss {hex}\n"))?;
@@ -534,10 +536,10 @@ pub fn run_queue_worker(config: &QueueWorkerConfig) -> std::io::Result<QueueWork
     ];
     let io_error: Mutex<Option<std::io::Error>> = Mutex::new(None);
 
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Heartbeat: re-stamp held leases, forever, until every worker
         // thread is done.
-        scope.spawn(|_| {
+        scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
                 {
                     let held = held.lock().expect("heartbeat lock");
@@ -560,7 +562,7 @@ pub fn run_queue_worker(config: &QueueWorkerConfig) -> std::io::Result<QueueWork
                 let q = &q;
                 let held = &held;
                 let io_error = &io_error;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let run = drain_queue(
                         q,
                         config,
@@ -586,8 +588,7 @@ pub fn run_queue_worker(config: &QueueWorkerConfig) -> std::io::Result<QueueWork
             let _ = handle.join();
         }
         stop.store(true, Ordering::Relaxed);
-    })
-    .expect("queue worker thread panicked");
+    });
 
     if let Some(e) = io_error.into_inner().expect("error slot") {
         return Err(e);
@@ -976,7 +977,8 @@ mod tests {
         assert_eq!(q.failed_keys().unwrap(), vec![key.clone()]);
         let parked = std::fs::read_to_string(q.dir("failed").join(&key)).unwrap();
         assert!(parked.starts_with("# lease expired"), "{parked}");
-        // The failed entry is a valid shard line: key, status, hex.
+        // The entry's second line is the cell's `--list` line: key,
+        // status, hex.
         let line = parked.lines().nth(1).unwrap();
         let mut fields = line.split_whitespace();
         assert_eq!(fields.next(), Some(key.as_str()));
@@ -1131,5 +1133,46 @@ mod tests {
         assert_eq!(again.enqueued, 0);
         assert_eq!(again.already_queued, 3);
         assert_eq!(again.already_cached, 1);
+    }
+
+    /// The documented recovery of a parked cell: while `failed/<key>`
+    /// exists the cell is never re-queued; once it is deleted, the next
+    /// `--enqueue` queues it and a worker drains it into the cache.
+    #[test]
+    fn deleting_a_parked_entry_lets_the_cell_be_enqueued_and_run() {
+        let root = scratch("recover-parked");
+        let q = QueueDir::open(root.join("queue")).unwrap();
+        let cache = root.join("cache");
+        let exp = tiny_experiment(10.0);
+        let key = cell_key(&exp);
+        q.park(&key, "fixed since", &exp.encode_hex()).unwrap();
+        let points = vec![SweepPoint {
+            x_label: "10".into(),
+            experiment: exp.clone(),
+        }];
+        let config = SweepConfig {
+            seeds: vec![1],
+            threads: 1,
+            ..SweepConfig::default()
+        }
+        .cached(&cache);
+
+        let parked = enqueue_points(&q, &points, &config).unwrap();
+        assert_eq!(parked.already_queued, 1, "a parked cell counts as queued");
+        assert_eq!(parked.enqueued, 0);
+        assert!(q.pending_keys().unwrap().is_empty());
+
+        std::fs::remove_file(q.dir("failed").join(&key)).unwrap();
+        let requeued = enqueue_points(&q, &points, &config).unwrap();
+        assert_eq!(requeued.enqueued, 1);
+        assert_eq!(q.pending_keys().unwrap(), vec![key]);
+
+        let mut worker = QueueWorkerConfig::new(q.root(), &cache);
+        worker.jobs = 1;
+        let stats = run_queue_worker(&worker).unwrap();
+        assert_eq!(stats.computed, 1);
+        assert_eq!(stats.failed_total, 0);
+        assert_eq!(stats.lost, 0);
+        assert!(probe_cached(&cache, &exp), "result delivered to cache");
     }
 }

@@ -1,5 +1,4 @@
-//! Parallel sweep execution with a persistent per-cell result cache and
-//! multi-process sharding support.
+//! Parallel sweep execution with a persistent per-cell result cache.
 //!
 //! Every cell of a sweep matrix is a pure function of one
 //! [`Experiment`] value (scenario spec, scheduler configuration, run
@@ -12,8 +11,7 @@
 //! so a schema bump invalidates every old key by construction. Values
 //! are stored as exact `f64` bit patterns, so cached and fresh runs
 //! average to byte-identical rows. The serialization is hand-rolled
-//! hex-on-text because the vendored `serde` stand-in is marker-only
-//! (see `crates/compat`).
+//! hex-on-text.
 //!
 //! Cell files end in a 128-bit FNV content checksum, so the loader can
 //! tell three states apart: a *hit* (schema + checksum verify), a
@@ -26,23 +24,22 @@
 //! the first error is kept for the harness to print, instead of being
 //! silently dropped.
 //!
-//! The same keys and encodings power cross-process sharding: figure
-//! binaries dump their cells as one hex-encoded experiment per line
-//! (`--list`, rendered by [`render_shard_list`]), any number of
-//! `sweep_worker` processes fill the shared cache directory from
-//! disjoint slices of those lines ([`ensure_cached`]) — or steal work
-//! from a fault-tolerant on-disk queue (see [`crate::queue`]) — and the
-//! final figure run is then 100% cache hits. A figure can also render
-//! from a *partially* warm cache ([`SweepConfig::cache_only`]): missing
-//! cells are counted per point and rendered as explicit `n/a` table
-//! cells instead of being simulated (or panicking).
+//! The same keys and encodings carry cells between processes: figure
+//! binaries list their cells as one hex-encoded experiment per line
+//! (`--list`, rendered by [`render_shard_list`]) or enqueue them on a
+//! fault-tolerant on-disk queue (see [`crate::queue`]), any number of
+//! `sweep_worker` processes drain that queue into the shared cache
+//! directory, and the final figure run is then 100% cache hits. A
+//! figure can also render from a *partially* warm cache
+//! ([`SweepConfig::cache_only`]): missing cells are counted per point
+//! and rendered as explicit `n/a` table cells instead of being
+//! simulated (or panicking).
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use crossbeam::thread;
 use gtt_metrics::{FigureRow, Summary};
 use gtt_workload::Experiment;
 
@@ -408,14 +405,15 @@ pub fn probe_cached(dir: &Path, experiment: &Experiment) -> bool {
 
 /// Guarantees `experiment`'s cell exists in the cache under `dir`,
 /// simulating and storing it on a miss. Returns `true` when the cell
-/// was already cached — the `sweep_worker` shard-mode primitive. A
-/// corrupt cell is quarantined (with a warning) and recomputed; a
-/// failed store is warned about but does not abort the shard.
+/// was already cached. A corrupt cell is quarantined (with a warning)
+/// and recomputed; a failed store is warned about. A test helper for
+/// warming a cache one cell at a time.
 ///
 /// # Panics
 ///
 /// Panics if `dir` cannot be created.
-pub fn ensure_cached(dir: &Path, experiment: &Experiment) -> bool {
+#[cfg(test)]
+pub(crate) fn ensure_cached(dir: &Path, experiment: &Experiment) -> bool {
     std::fs::create_dir_all(dir).expect("cache dir must be creatable");
     let key = cell_key(experiment);
     match cache_fetch(dir, &key) {
@@ -433,7 +431,7 @@ pub fn ensure_cached(dir: &Path, experiment: &Experiment) -> bool {
     false
 }
 
-/// Renders a sweep's cells as shard-file lines without simulating
+/// Renders a sweep's cells as `--list` lines without simulating
 /// anything: one line per distinct cell —
 /// `<key> <hit|miss> <hex-encoded experiment>` — against
 /// `config.cache_dir` (no cache dir ⇒ everything is a miss). Cells
@@ -508,9 +506,9 @@ pub fn run_sweep(x_axis: &str, points: Vec<SweepPoint>, config: &SweepConfig) ->
     let missing: Vec<AtomicUsize> = (0..points.len()).map(|_| AtomicUsize::new(0)).collect();
     let results: Vec<Mutex<SeedRuns>> = (0..points.len()).map(|_| Mutex::new(Vec::new())).collect();
 
-    thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let j = next.fetch_add(1, Ordering::Relaxed);
                 if j >= jobs.len() {
                     break;
@@ -563,8 +561,7 @@ pub fn run_sweep(x_axis: &str, points: Vec<SweepPoint>, config: &SweepConfig) ->
                     .push((seed, cell));
             });
         }
-    })
-    .expect("sweep worker panicked");
+    });
 
     let point_results: Vec<PointResult> = points
         .iter()

@@ -153,16 +153,12 @@ impl Network {
             }
         }
 
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = subs
-                .iter_mut()
-                .map(|sub| scope.spawn(move |_| sub.run_until_event(end)))
-                .collect();
-            for handle in handles {
-                handle.join().expect("island thread panicked");
+        // The scope joins every island thread and re-raises a panic.
+        std::thread::scope(|scope| {
+            for sub in subs.iter_mut() {
+                scope.spawn(move || sub.run_until_event(end));
             }
-        })
-        .expect("island scope failed");
+        });
 
         // Merge in canonical island order: islands are disjoint, so the
         // order only decides tracker union tie-breaks on corner cases

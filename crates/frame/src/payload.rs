@@ -147,7 +147,7 @@ impl WirePayload {
                 // message but does not police length itself; requiring
                 // the canonical re-encoding keeps byte-level round
                 // trips exact (and rejects trailing garbage).
-                if msg.encode().as_ref() != body {
+                if msg.encode() != body {
                     return Err(FrameError::BadPayload);
                 }
                 Ok(WirePayload::SixP(msg))

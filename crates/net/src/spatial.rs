@@ -17,8 +17,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::geometry::Position;
 use crate::id::NodeId;
 
@@ -26,7 +24,7 @@ use crate::id::NodeId;
 pub(crate) type Cell = (i64, i64);
 
 /// The index: occupied grid cells and the cached cell of every node.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct SpatialGrid {
     /// Bucket side length in metres (the interference range).
     cell_size: f64,

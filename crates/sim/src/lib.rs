@@ -8,34 +8,30 @@
 //!   whose streams never change between releases (unlike `rand`'s
 //!   `SmallRng`), so every experiment in the paper reproduction is exactly
 //!   replayable from a seed,
-//! * [`EventQueue`] — a stable-ordered future event list,
-//! * [`Timer`] — periodic and one-shot timers checked at slot boundaries,
-//! * [`trace`] — lightweight structured trace hooks used by the engine and
-//!   the test suite.
+//! * [`Timer`] — periodic and one-shot timers checked at slot boundaries.
 //!
 //! # Example
 //!
 //! ```
-//! use gtt_sim::{EventQueue, SimTime, SimDuration};
+//! use gtt_sim::{Pcg32, SimDuration, SimTime};
 //!
-//! let mut q: EventQueue<&'static str> = EventQueue::new();
-//! q.schedule(SimTime::ZERO + SimDuration::from_millis(15), "slot 1");
-//! q.schedule(SimTime::ZERO, "slot 0");
-//! let (t0, e0) = q.pop().unwrap();
-//! assert_eq!(t0, SimTime::ZERO);
-//! assert_eq!(e0, "slot 0");
+//! // Equal seeds replay equal streams.
+//! let (mut a, mut b) = (Pcg32::new(7), Pcg32::new(7));
+//! assert_eq!(a.next_u64(), b.next_u64());
+//!
+//! // Simulated time advances in whole microseconds.
+//! let slot = SimDuration::from_millis(15);
+//! let t = SimTime::ZERO + slot + slot;
+//! assert_eq!(t.saturating_since(SimTime::ZERO).as_millis_f64(), 30.0);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod events;
 pub mod rng;
 pub mod time;
 pub mod timer;
-pub mod trace;
 
-pub use events::EventQueue;
 pub use rng::{Pcg32, SplitMix64};
 pub use time::{SimDuration, SimTime};
 pub use timer::Timer;

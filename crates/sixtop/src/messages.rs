@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// The Scheduling Function Identifier GT-TSCH registers with 6P.
 pub const SIXP_SFID_GT_TSCH: u8 = 0xA1;
 
@@ -290,31 +288,31 @@ impl SixpMessage {
     /// Layout: `[version<<4 | type, code, sfid, seqnum, body…]`, cell
     /// lists as `count:u16` then `(slot:u16, chan:u8)` entries, all
     /// big-endian.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(16);
         let type_nibble = if self.body.is_request() {
             TYPE_REQUEST
         } else {
             TYPE_RESPONSE
         };
-        buf.put_u8((SIXP_VERSION << 4) | type_nibble);
+        buf.push((SIXP_VERSION << 4) | type_nibble);
         // Requests carry the command code; responses the return code.
         match self.body.return_code() {
-            Some(rc) => buf.put_u8(rc.to_wire()),
-            None => buf.put_u8(self.body.command_code()),
+            Some(rc) => buf.push(rc.to_wire()),
+            None => buf.push(self.body.command_code()),
         }
-        buf.put_u8(self.sfid);
-        buf.put_u8(self.seqnum);
+        buf.push(self.sfid);
+        buf.push(self.seqnum);
         // Responses also need the command code to be self-describing
         // (RFC 8480 infers it from transaction state; carrying it keeps
         // the codec stateless).
-        buf.put_u8(self.body.command_code());
+        buf.push(self.body.command_code());
 
-        fn put_cells(buf: &mut BytesMut, cells: &[CellSpec]) {
-            buf.put_u16(cells.len() as u16);
+        fn put_cells(buf: &mut Vec<u8>, cells: &[CellSpec]) {
+            buf.extend_from_slice(&(cells.len() as u16).to_be_bytes());
             for c in cells {
-                buf.put_u16(c.slot);
-                buf.put_u8(c.channel_offset);
+                buf.extend_from_slice(&c.slot.to_be_bytes());
+                buf.push(c.channel_offset);
             }
         }
 
@@ -324,23 +322,23 @@ impl SixpMessage {
                 num_cells,
                 cells,
             } => {
-                buf.put_u8(kind.to_wire());
-                buf.put_u16(*num_cells);
+                buf.push(kind.to_wire());
+                buf.extend_from_slice(&num_cells.to_be_bytes());
                 put_cells(&mut buf, cells);
             }
             SixpBody::AddResponse { cells, .. } => put_cells(&mut buf, cells),
             SixpBody::DeleteRequest { kind, cells } => {
-                buf.put_u8(kind.to_wire());
+                buf.push(kind.to_wire());
                 put_cells(&mut buf, cells);
             }
             SixpBody::DeleteResponse { cells, .. } => put_cells(&mut buf, cells),
             SixpBody::ClearRequest | SixpBody::ClearResponse { .. } => {}
             SixpBody::AskChannelRequest => {}
             SixpBody::AskChannelResponse { channel_offset, .. } => {
-                buf.put_u8(*channel_offset);
+                buf.push(*channel_offset);
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes a message encoded by [`SixpMessage::encode`].
@@ -348,54 +346,32 @@ impl SixpMessage {
     /// # Errors
     ///
     /// Returns a [`SixpDecodeError`] on truncation or unknown fields.
-    pub fn decode(mut data: &[u8]) -> Result<Self, SixpDecodeError> {
-        fn need(data: &[u8], n: usize) -> Result<(), SixpDecodeError> {
-            if data.remaining() < n {
-                Err(SixpDecodeError::Truncated)
-            } else {
-                Ok(())
-            }
-        }
-
-        need(data, 5)?;
-        let vt = data.get_u8();
+    pub fn decode(data: &[u8]) -> Result<Self, SixpDecodeError> {
+        let mut data = Reader(data);
+        let [vt, code, sfid, seqnum, command] = data.array()?;
         let version = vt >> 4;
         if version != SIXP_VERSION {
             return Err(SixpDecodeError::BadVersion(version));
         }
         let msg_type = vt & 0x0F;
-        let code = data.get_u8();
-        let sfid = data.get_u8();
-        let seqnum = data.get_u8();
-        let command = data.get_u8();
 
-        fn get_cells(data: &mut &[u8]) -> Result<Vec<CellSpec>, SixpDecodeError> {
-            if data.remaining() < 2 {
-                return Err(SixpDecodeError::Truncated);
-            }
-            let count = data.get_u16() as usize;
-            if data.remaining() < count * 3 {
-                return Err(SixpDecodeError::Truncated);
-            }
-            let mut cells = Vec::with_capacity(count);
-            for _ in 0..count {
-                let slot = data.get_u16();
-                let chan = data.get_u8();
-                cells.push(CellSpec::new(slot, chan));
-            }
-            Ok(cells)
+        fn get_cells(data: &mut Reader<'_>) -> Result<Vec<CellSpec>, SixpDecodeError> {
+            let count = u16::from_be_bytes(data.array()?);
+            let raw = data.take(usize::from(count) * 3)?;
+            Ok(raw
+                .chunks_exact(3)
+                .map(|c| CellSpec::new(u16::from_be_bytes([c[0], c[1]]), c[2]))
+                .collect())
         }
 
         let body = match (msg_type, command) {
             (TYPE_REQUEST, CMD_ADD) => {
-                need(data, 3)?;
-                let kind_raw = data.get_u8();
+                let [kind_raw, n_hi, n_lo] = data.array()?;
                 let kind = SixpCellKind::from_wire(kind_raw)
                     .ok_or(SixpDecodeError::BadCellKind(kind_raw))?;
-                let num_cells = data.get_u16();
                 SixpBody::AddRequest {
                     kind,
-                    num_cells,
+                    num_cells: u16::from_be_bytes([n_hi, n_lo]),
                     cells: get_cells(&mut data)?,
                 }
             }
@@ -404,8 +380,7 @@ impl SixpMessage {
                 cells: get_cells(&mut data)?,
             },
             (TYPE_REQUEST, CMD_DELETE) => {
-                need(data, 1)?;
-                let kind_raw = data.get_u8();
+                let [kind_raw] = data.array()?;
                 let kind = SixpCellKind::from_wire(kind_raw)
                     .ok_or(SixpDecodeError::BadCellKind(kind_raw))?;
                 SixpBody::DeleteRequest {
@@ -423,11 +398,11 @@ impl SixpMessage {
             },
             (TYPE_REQUEST, CMD_ASK_CHANNEL) => SixpBody::AskChannelRequest,
             (TYPE_RESPONSE, CMD_ASK_CHANNEL) => {
-                need(data, 1)?;
+                let [channel_offset] = data.array()?;
                 SixpBody::AskChannelResponse {
                     code: ReturnCode::from_wire(code)
                         .ok_or(SixpDecodeError::BadReturnCode(code))?,
-                    channel_offset: data.get_u8(),
+                    channel_offset,
                 }
             }
             (TYPE_REQUEST | TYPE_RESPONSE, c) => return Err(SixpDecodeError::BadCommand(c)),
@@ -435,6 +410,28 @@ impl SixpMessage {
         };
 
         Ok(SixpMessage { sfid, seqnum, body })
+    }
+}
+
+/// Bounds-checked reader over the bytes of a message not yet decoded.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// The next `n` bytes, or [`SixpDecodeError::Truncated`].
+    fn take(&mut self, n: usize) -> Result<&'a [u8], SixpDecodeError> {
+        if self.0.len() < n {
+            return Err(SixpDecodeError::Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SixpDecodeError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
     }
 }
 
@@ -555,7 +552,7 @@ mod tests {
     #[test]
     fn bad_version_rejected() {
         let msg = SixpMessage::new(0, SixpBody::ClearRequest);
-        let mut bytes = msg.encode().to_vec();
+        let mut bytes = msg.encode();
         bytes[0] = (3 << 4) | (bytes[0] & 0x0F);
         assert_eq!(
             SixpMessage::decode(&bytes),
@@ -566,7 +563,7 @@ mod tests {
     #[test]
     fn bad_command_rejected() {
         let msg = SixpMessage::new(0, SixpBody::ClearRequest);
-        let mut bytes = msg.encode().to_vec();
+        let mut bytes = msg.encode();
         bytes[4] = 0x7F;
         assert_eq!(
             SixpMessage::decode(&bytes),
@@ -582,7 +579,7 @@ mod tests {
                 code: ReturnCode::Success,
             },
         );
-        let mut bytes = msg.encode().to_vec();
+        let mut bytes = msg.encode();
         bytes[1] = 0x6E;
         assert_eq!(
             SixpMessage::decode(&bytes),

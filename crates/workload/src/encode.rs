@@ -6,8 +6,9 @@
 //! *canonical* — equal experiments encode to identical bytes, floats
 //! round-trip by exact bit pattern (`f64::to_bits`, including `-0.0`
 //! and NaN payloads), and there is no map/hash iteration anywhere — so
-//! the bytes double as a portable cache key and as the line format of
-//! `sweep_worker` shard files (hex-armored, one experiment per line).
+//! the bytes double as a portable cache key and as the experiment field
+//! of `--list` lines and queue entries (hex-armored, one experiment per
+//! line).
 //!
 //! Schema evolution: bump [`ENCODING_VERSION`] whenever the layout *or
 //! the meaning* of any encoded field changes; decoders reject foreign
@@ -575,7 +576,7 @@ impl Experiment {
     }
 
     /// The canonical encoding as lowercase hex — the one-line text form
-    /// used by `sweep_worker` shard files and `--list` output.
+    /// used by `--list` output and queue entries.
     pub fn encode_hex(&self) -> String {
         let bytes = self.encode();
         let mut out = String::with_capacity(bytes.len() * 2);
@@ -759,8 +760,8 @@ mod tests {
     #[test]
     fn corrupted_length_prefix_fails_cleanly() {
         // A flipped hop-count byte must surface as `Truncated`, not as
-        // a multi-gigabyte pre-allocation abort: shard files are
-        // plain-text surgery targets, torn lines happen.
+        // a multi-gigabyte pre-allocation abort: `--list` lines and
+        // queue entries are plain text on disk, torn lines happen.
         let exp = crate::Experiment::new(ScenarioSpec::star(2), SchedulerKind::minimal(8))
             .with_overlay(Overlay::Mobility(StepMobility::new().hop(
                 SimDuration::from_secs(1),

@@ -8,8 +8,9 @@
 //! mobility, duty-cycle budgets). Experiments are plain data —
 //! comparable, cloneable, and canonically encodable
 //! ([`Experiment::encode`]) into a versioned byte form that doubles as
-//! the sweep cache key and as the shard-file line format of the
-//! multi-process `sweep_worker` (see `gtt-bench`).
+//! the sweep cache key and as the experiment field of `--list` lines
+//! and of the queue entries multi-process `sweep_worker`s drain (see
+//! `gtt-bench`).
 //!
 //! # Example
 //!
@@ -29,8 +30,8 @@
 //!     overlays: vec![Overlay::Noise(NoiseBurst::wifi_like())],
 //!     trace: None, // set via `with_trace` to capture a pcap of the run
 //! };
-//! // The canonical encoding round-trips exactly (cache keys and shard
-//! // files are derived from it) …
+//! // The canonical encoding round-trips exactly (cache keys, `--list`
+//! // lines and queue entries are derived from it) …
 //! assert_eq!(Experiment::decode(&exp.encode()).unwrap(), exp);
 //! // … and `run()` drives warm-up, the overlay timeline and the
 //! // measured window in one call.
@@ -55,12 +56,11 @@ pub use spec::{ScenarioSpec, TopologySpec};
 
 use gtt_engine::{EngineConfig, Network, NetworkBuilder, NetworkReport};
 use gtt_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of one measured run: the traffic model (per-node CBR
 /// rate), the timing of the measurement, the seed, and the engine
 /// cadence preset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSpec {
     /// Application rate per non-root node (packets/minute).
     pub traffic_ppm: f64,
