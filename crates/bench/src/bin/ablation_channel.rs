@@ -1,19 +1,12 @@
 //! Ablation of Algorithm 1's channel allocation vs. hash-based channels
 //! (paper §III strategies).
+//!
+//! Usage: `ablation_channel [--quick] [--no-cache | --cache-only] [--cache-dir DIR]
+//! [--jobs N] [--pcap PATH] [--list | --enqueue QUEUE_DIR]` — see
+//! `--help` and [`gtt_bench::figure_main`].
 
-use gtt_bench::{ablation_channel, render_figure_tables, SweepConfig};
+use gtt_bench::{ablation_channel_sweeps, figure_main};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let config = if quick {
-        SweepConfig::quick()
-    } else {
-        SweepConfig::default()
-    };
-    eprintln!(
-        "running channel ablation ({} seeds/point)…",
-        config.seeds.len()
-    );
-    let results = ablation_channel(&config);
-    print!("{}", render_figure_tables("C", &results));
+    figure_main("ablation_channel", ablation_channel_sweeps());
 }

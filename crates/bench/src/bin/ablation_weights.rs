@@ -1,18 +1,11 @@
 //! Ablation of the payoff weights α/β/γ (paper §VII-D) at 120 ppm.
+//!
+//! Usage: `ablation_weights [--quick] [--no-cache | --cache-only] [--cache-dir DIR]
+//! [--jobs N] [--pcap PATH] [--list | --enqueue QUEUE_DIR]` — see
+//! `--help` and [`gtt_bench::figure_main`].
 
-use gtt_bench::{ablation_weights, render_figure_tables, SweepConfig};
+use gtt_bench::{ablation_weights_sweeps, figure_main};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let config = if quick {
-        SweepConfig::quick()
-    } else {
-        SweepConfig::default()
-    };
-    eprintln!(
-        "running weight ablation ({} seeds/point)…",
-        config.seeds.len()
-    );
-    let results = ablation_weights(&config);
-    print!("{}", render_figure_tables("W", &results));
+    figure_main("ablation_weights", ablation_weights_sweeps());
 }

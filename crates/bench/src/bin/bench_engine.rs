@@ -1,4 +1,4 @@
-//! Measures the event-driven engine core against the `naive-step`
+//! Measures the event-driven engine core against the naive-step
 //! oracle and emits `BENCH_engine.json`.
 //!
 //! Usage: `bench_engine [--quick] [--out PATH] [--only SUBSTR] [--stats]
@@ -16,11 +16,11 @@
 //!   lose fidelity and the regression gates are skipped (the JSON is
 //!   still written). Use `--jobs 1` (the default) for gated runs.
 //!
-//! Built with the `parallel` feature, multi-island cases additionally
-//! report the island-parallel stepping leg (`parallel_slots_per_sec`,
-//! `parallel_speedup` vs the sequential event core). These rows are
-//! never gated: the gating host is single-vCPU, where scoped threads
-//! can only add overhead — the honest number there is ≤ 1×.
+//! Multi-island cases additionally report the island-parallel stepping
+//! leg (`parallel_slots_per_sec`, `parallel_speedup` vs the sequential
+//! event core). These rows are never gated: on a single-vCPU host
+//! scoped threads can only add overhead — the honest number there is
+//! ≤ 1×.
 //!
 //! Every case is one declarative [`Experiment`]; the same value builds
 //! the event-core and the oracle network (via
@@ -48,6 +48,7 @@
 use std::io::Write as _;
 use std::time::Instant;
 
+use gtt_engine::EngineConfig;
 use gtt_net::{NodeId, Position};
 use gtt_sim::SimDuration;
 use gtt_workload::{
@@ -127,8 +128,8 @@ struct Measurement {
     event_slots_per_sec: f64,
     naive_slots_per_sec: f64,
     speedup: f64,
-    /// Island-parallel leg (`parallel` feature, multi-island cases
-    /// only): slots/s and speedup vs the sequential event core.
+    /// Island-parallel leg (multi-island cases only): slots/s and
+    /// speedup vs the sequential event core.
     parallel: Option<(f64, f64)>,
 }
 
@@ -149,15 +150,28 @@ fn case(
     })
 }
 
+/// Which stepping core a timed run uses.
+#[derive(Clone, Copy)]
+enum Core {
+    /// The event-driven sequential core.
+    Event,
+    /// The exhaustive slot-by-slot oracle.
+    Naive,
+    /// The event core per island, scoped threads across islands.
+    Parallel,
+}
+
 /// Wall-seconds to simulate `sim` of the case on one core.
-fn time_run(case: &Case, sim: SimDuration, naive: bool) -> f64 {
+fn time_run(case: &Case, sim: SimDuration, core: Core) -> f64 {
     let mut exp = case.experiment.clone();
     exp.run.measure_secs = sim.as_micros() / 1_000_000;
-    let mut builder = exp.network_builder();
-    if naive {
-        builder = builder.naive_stepping();
+    let builder = exp.network_builder();
+    let mut net = match core {
+        Core::Event => builder,
+        Core::Naive => builder.naive_stepping(),
+        Core::Parallel => builder.parallel_stepping(),
     }
-    let mut net = builder.build();
+    .build();
     let start = Instant::now();
     if exp.overlays.is_empty() {
         net.run_for(sim);
@@ -179,7 +193,11 @@ fn time_run(case: &Case, sim: SimDuration, naive: bool) -> f64 {
         let total_slots = slots / net.nodes().len() as u64;
         eprintln!(
             "    [{}] {} awake {:.3} tx/slot {:.3} idle/slot {:.2} ns/slot {:.0}",
-            if naive { "naive" } else { "event" },
+            match core {
+                Core::Event => "event",
+                Core::Naive => "naive",
+                Core::Parallel => "parallel",
+            },
             case.label,
             awake as f64 / slots.max(1) as f64,
             txs as f64 / total_slots.max(1) as f64,
@@ -190,28 +208,10 @@ fn time_run(case: &Case, sim: SimDuration, naive: bool) -> f64 {
     secs
 }
 
-/// Wall-seconds for the island-parallel leg: the same sequential event
-/// core per island, scoped threads across islands.
-#[cfg(feature = "parallel")]
-fn time_run_parallel(case: &Case, sim: SimDuration) -> f64 {
-    let mut exp = case.experiment.clone();
-    exp.run.measure_secs = sim.as_micros() / 1_000_000;
-    let mut net = exp.network_builder().parallel_stepping().build();
-    let start = Instant::now();
-    if exp.overlays.is_empty() {
-        net.run_for(sim);
-    } else {
-        let _ = exp.run_on(&mut net);
-    }
-    start.elapsed().as_secs_f64()
-}
-
 /// Best-of-three island-parallel timing for multi-island cases, as
 /// (slots/s, speedup vs the sequential event core). `None` on
 /// single-island cases (the parallel path falls straight back to the
-/// sequential core — the row would just duplicate `event_slots_per_sec`)
-/// and in builds without the `parallel` feature.
-#[cfg(feature = "parallel")]
+/// sequential core — the row would just duplicate `event_slots_per_sec`).
 fn parallel_leg(
     case: &Case,
     sim: SimDuration,
@@ -229,14 +229,9 @@ fn parallel_leg(
     }
     let mut secs = f64::INFINITY;
     for _ in 0..3 {
-        secs = secs.min(time_run_parallel(case, sim));
+        secs = secs.min(time_run(case, sim, Core::Parallel));
     }
     Some((sim_slots as f64 / secs, event_secs / secs))
-}
-
-#[cfg(not(feature = "parallel"))]
-fn parallel_leg(_: &Case, _: SimDuration, _: u64, _: f64) -> Option<(f64, f64)> {
-    None
 }
 
 fn measure(case: &Case, sim: SimDuration, slot: SimDuration) -> Measurement {
@@ -248,8 +243,8 @@ fn measure(case: &Case, sim: SimDuration, slot: SimDuration) -> Measurement {
     // numbers but not the other's (the ratio is the product).
     let (mut event_secs, mut naive_secs) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..3 {
-        event_secs = event_secs.min(time_run(case, sim, false));
-        naive_secs = naive_secs.min(time_run(case, sim, true));
+        event_secs = event_secs.min(time_run(case, sim, Core::Event));
+        naive_secs = naive_secs.min(time_run(case, sim, Core::Naive));
     }
     Measurement {
         name: case.label.to_string(),
@@ -383,10 +378,7 @@ fn main() {
 
     let sim_secs = if quick { 60 } else { 300 };
     let sim = SimDuration::from_secs(sim_secs);
-    let slot = SchedulerKind::gt_tsch_default()
-        .engine_config()
-        .mac
-        .slot_duration;
+    let slot = EngineConfig::default().mac.slot_duration;
 
     let cases = [
         // The acceptance case: 120-node grid in the steady-state

@@ -1,15 +1,15 @@
 //! Regenerates the paper's Fig. 9 (all six sub-figures).
 //!
 //! Usage: `fig9 [--quick] [--no-cache | --cache-only] [--cache-dir DIR]
-//! [--jobs N] [--list | --enqueue QUEUE_DIR]` — `--quick` averages 2
-//! seeds instead of 5; cells are served from / into the persistent
-//! sweep cache (default `target/sweep-cache`) unless `--no-cache` is
-//! given. `--list` prints one `<key> <hit|miss> <encoded experiment>`
-//! line per cell without simulating (a dry run); `--enqueue` adds
-//! uncached cells to a fault-tolerant work-stealing queue
-//! (`sweep_worker --queue`); `--cache-only` renders from whatever the
-//! cache holds, reporting absent cells per point as `n/a`. See
-//! `--help`.
+//! [--jobs N] [--pcap PATH] [--list | --enqueue QUEUE_DIR]` — `--quick`
+//! averages 2 seeds instead of 5; cells are served from / into the
+//! persistent sweep cache (default `target/sweep-cache`) unless
+//! `--no-cache` is given. `--list` prints one `<key> <hit|miss> <encoded
+//! experiment>` line per cell without simulating (a dry run);
+//! `--enqueue` adds uncached cells to a fault-tolerant work-stealing
+//! queue (`sweep_worker --queue`); `--cache-only` renders from whatever
+//! the cache holds, reporting absent cells per point as `n/a`; `--pcap`
+//! also writes a trace of the first cell. See `--help`.
 
 use gtt_bench::{fig9_sweeps, figure_main};
 

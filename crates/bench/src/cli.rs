@@ -1,7 +1,7 @@
 //! Shared command-line front end of the figure binaries.
 //!
-//! Every figure binary (`fig8`, `fig9`, `fig10`, `fig_noise`) is a thin
-//! wrapper over [`figure_main`]: it contributes its [`FigureSweep`]s
+//! Every sweep binary (`fig8`, `fig9`, `fig10`, `fig_noise` and the
+//! three `ablation_*` binaries) is a thin wrapper over [`figure_main`]: it contributes its [`FigureSweep`]s
 //! (table name, x axis, declarative cell list) and this module supplies
 //! one strict, uniform flag surface:
 //!

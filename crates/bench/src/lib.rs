@@ -10,6 +10,7 @@
 //! | `fig_noise` | — (robustness) | interference-burst depth and period |
 //! | `ablation_weights` | §VII-D discussion | α/β/γ settings of the payoff |
 //! | `ablation_channel` | §III strategies | Algorithm 1 vs hash-based channels |
+//! | `ablation_orchestra` | — (baseline) | Orchestra receiver- vs sender-based unicast |
 //! | `diagnose` | — | one verbose run with per-node breakdown |
 //! | `sweep_worker` | — | fills the sweep cache from a work-stealing queue |
 //!
@@ -32,10 +33,10 @@ pub mod table;
 
 pub use cli::{figure_main, jobs_from, FigureSweep};
 pub use figures::{
-    ablation_channel, ablation_channel_points, ablation_weights, ablation_weights_points, fig10,
-    fig10_points, fig10_sweeps, fig8, fig8_points, fig8_sweeps, fig9, fig9_points, fig9_sweeps,
-    fig_noise_depth, fig_noise_depth_points, fig_noise_period, fig_noise_period_points,
-    fig_noise_sweeps,
+    ablation_channel_points, ablation_channel_sweeps, ablation_orchestra_points,
+    ablation_orchestra_sweeps, ablation_weights_points, ablation_weights_sweeps, fig10_points,
+    fig10_sweeps, fig8_points, fig8_sweeps, fig9_points, fig9_sweeps, fig_noise_depth_points,
+    fig_noise_period_points, fig_noise_sweeps,
 };
 pub use queue::{
     enqueue_points, run_queue_worker, EnqueueSummary, QueueCell, QueueDir, QueueWorkerConfig,

@@ -70,6 +70,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use gtt_sim::SplitMix64;
 use gtt_workload::Experiment;
 
 use crate::sweep::{
@@ -700,7 +701,7 @@ fn drain_queue(
         }
 
         // Nothing claimable: back off (jittered 50–150%) and re-poll.
-        let sleep = backoff.mul_f64(0.5 + jitter.unit_f64());
+        let sleep = backoff.mul_f64(0.5 + unit_f64(&mut jitter));
         std::thread::sleep(sleep);
         backoff = (backoff * 2).min(BACKOFF_CAP);
     }
@@ -857,27 +858,10 @@ pub fn enqueue_points(
     Ok(summary)
 }
 
-/// SplitMix64 — backoff jitter and claim-offset rotation only (never
-/// simulation randomness).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn new(seed: u64) -> SplitMix64 {
-        SplitMix64(seed)
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in [0, 1).
-    fn unit_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
+/// Uniform in [0, 1) from `rng` — backoff jitter only (the generator
+/// also rotates claim offsets; never simulation randomness).
+fn unit_f64(rng: &mut SplitMix64) -> f64 {
+    (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Island-parallel stepping (the `parallel` feature).
+//! Island-parallel stepping
+//! ([`NetworkBuilder::parallel_stepping`](crate::NetworkBuilder::parallel_stepping)).
 //!
 //! Nodes in different connected components of the *audibility* graph
 //! ([`Topology::audibility_islands`](gtt_net::Topology::audibility_islands))
@@ -308,25 +309,6 @@ mod tests {
             net.finish_measurement();
         }
         assert_eq!(seq.asn(), par.asn());
-        assert_eq!(seq.report(), par.report());
-    }
-
-    #[test]
-    fn set_parallel_toggles_at_runtime() {
-        let mut seq = two_star_network(false);
-        let mut par = two_star_network(false);
-        par.set_parallel(true);
-        assert!(par.parallel_enabled());
-        seq.run_for(SimDuration::from_secs(20));
-        par.run_for(SimDuration::from_secs(20));
-        // Toggling back mid-run keeps the trajectory identical: the
-        // switch changes wall-clock behavior only.
-        par.set_parallel(false);
-        for net in [&mut seq, &mut par] {
-            net.start_measurement();
-            net.run_for(SimDuration::from_secs(20));
-            net.finish_measurement();
-        }
         assert_eq!(seq.report(), par.report());
     }
 

@@ -196,7 +196,7 @@ impl Experiment {
         let base = if self.run.low_power {
             EngineConfig::low_power()
         } else {
-            self.scheduler.engine_config()
+            EngineConfig::default()
         };
         EngineConfig {
             seed: self.run.seed,
@@ -227,22 +227,11 @@ impl Experiment {
         self.run_on(&mut self.build_network())
     }
 
-    /// [`Experiment::run`] with island-parallel stepping enabled (the
-    /// `parallel` feature): radio-disjoint partition islands step on
-    /// scoped threads. The report is byte-identical to
-    /// [`Experiment::run`]'s — which is why the switch is *not* part of
-    /// the canonical encoding — so cached sweep cells can be shared
-    /// freely between parallel and sequential runs.
-    #[cfg(feature = "parallel")]
-    pub fn run_parallel(&self) -> NetworkReport {
-        let mut net = self.network_builder().parallel_stepping().build();
-        self.run_on(&mut net)
-    }
-
     /// [`Experiment::run`] on an already-built network (one produced by
-    /// [`Experiment::network_builder`] — e.g. with the `naive-step`
-    /// oracle enabled, so equivalence tests drive both cores through
-    /// the identical warm-up/overlay/measure sequence).
+    /// [`Experiment::network_builder`] — e.g. with the naive-step
+    /// oracle or island-parallel stepping enabled, so equivalence tests
+    /// drive every core through the identical warm-up/overlay/measure
+    /// sequence).
     ///
     /// When [`Experiment::trace`] is set, a pcap frame tap rides the
     /// whole run and the capture is written to [`TraceSpec::path`]

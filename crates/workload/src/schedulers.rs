@@ -1,7 +1,7 @@
 //! Scheduler selection for experiments.
 
 use gt_tsch::{GtTschConfig, GtTschSf};
-use gtt_engine::{EngineConfig, MinimalSchedule, SchedulingFunction};
+use gtt_engine::{MinimalSchedule, SchedulingFunction};
 use gtt_net::NodeId;
 use gtt_orchestra::{OrchestraConfig, OrchestraSf};
 
@@ -39,19 +39,17 @@ impl SchedulerKind {
         SchedulerKind::Minimal { slotframe_len }
     }
 
-    /// Short name for tables.
+    /// Short name for tables. Ablation variants that change *how* the
+    /// scheduler works (not just its tuning) get their own name, so a
+    /// table can show them side by side with the default.
     pub fn name(&self) -> &'static str {
         match self {
+            SchedulerKind::GtTsch(cfg) if cfg.hash_channels => "gt-tsch-hash",
             SchedulerKind::GtTsch(_) => "gt-tsch",
+            SchedulerKind::Orchestra(cfg) if cfg.sender_based => "orchestra-sb",
             SchedulerKind::Orchestra(_) => "orchestra",
             SchedulerKind::Minimal { .. } => "minimal",
         }
-    }
-
-    /// Engine configuration appropriate for this scheduler (all use the
-    /// paper's Table II MAC settings; only the seed differs per run).
-    pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig::default()
     }
 
     /// Builds the per-node scheduling function.
@@ -78,6 +76,16 @@ mod tests {
         assert_eq!(SchedulerKind::gt_tsch_default().name(), "gt-tsch");
         assert_eq!(SchedulerKind::orchestra_default().name(), "orchestra");
         assert_eq!(SchedulerKind::minimal(8).name(), "minimal");
+        let hash = GtTschConfig {
+            hash_channels: true,
+            ..GtTschConfig::paper_default()
+        };
+        assert_eq!(SchedulerKind::GtTsch(hash).name(), "gt-tsch-hash");
+        let sb = OrchestraConfig {
+            sender_based: true,
+            ..OrchestraConfig::paper_default()
+        };
+        assert_eq!(SchedulerKind::Orchestra(sb).name(), "orchestra-sb");
     }
 
     #[test]
