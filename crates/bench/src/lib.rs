@@ -31,7 +31,7 @@ pub mod queue;
 pub mod sweep;
 pub mod table;
 
-pub use cli::{figure_main, jobs_from, FigureSweep};
+pub use cli::{figure_main, FigureSweep};
 pub use figures::{
     ablation_channel_points, ablation_channel_sweeps, ablation_orchestra_points,
     ablation_orchestra_sweeps, ablation_weights_points, ablation_weights_sweeps, fig10_points,

@@ -315,44 +315,14 @@ impl Network {
         joined as f64 / non_roots as f64
     }
 
-    /// Simulates one timeslot.
-    ///
-    /// In the event-driven core this processes only the nodes whose
-    /// wake-up is due in the current slot (every other node provably
-    /// sleeps); under the `naive-step` oracle it runs the exhaustive
-    /// per-node loop. Either way the ASN advances by exactly one.
-    pub fn step(&mut self) {
-        if self.naive {
-            self.step_naive();
-            return;
-        }
-        self.ensure_wake_queue();
-        let mut s = std::mem::take(&mut self.scratch);
-        self.fill_due(&mut s.due);
-        if !s.due.is_empty() {
-            self.process_slot(&mut s);
-            self.asn = self.asn.next();
-            for &i in &s.resched {
-                self.schedule_node_wake(i);
-            }
-        } else {
-            self.asn = self.asn.next();
-        }
-        self.scratch = s;
-        // Single-step callers observe counters between slots; keep the
-        // lazily-accounted sleep/idle-listen slots exact at this
-        // granularity.
-        self.sync_accounting();
-    }
-
     /// Runs until simulated time reaches `end`, skipping directly from
     /// wake-up to wake-up.
     ///
-    /// Equivalent to `while self.now() < end { self.step() }`, but slots
-    /// in which every node sleeps cost nothing: the ASN jumps to the next
-    /// slot in which at least one node transmits, listens or runs a due
-    /// timer. Ends with `now() >= end` on the first slot boundary at or
-    /// after `end`, exactly like the slot-by-slot loop.
+    /// Equivalent to the slot-by-slot oracle loop, but slots in which
+    /// every node sleeps cost nothing: the ASN jumps to the next slot in
+    /// which at least one node transmits, listens or runs a due timer.
+    /// Ends with `now() >= end` on the first slot boundary at or after
+    /// `end`, exactly like the slot-by-slot loop.
     pub fn run_until(&mut self, end: SimTime) {
         if self.naive {
             while self.now() < end {
@@ -1144,8 +1114,7 @@ impl NetworkBuilder {
     /// `run_slots`) then resolves radio-disjoint partition islands on
     /// scoped threads. Reports are byte-identical either way — this is
     /// purely a wall-clock switch, which is why it is *not* part of an
-    /// experiment's canonical encoding. Single-slot [`Network::step`]
-    /// always runs sequentially.
+    /// experiment's canonical encoding.
     pub fn parallel_stepping(mut self) -> Self {
         self.parallel = true;
         self
@@ -1313,14 +1282,15 @@ mod tests {
     }
 
     /// Stepping one slot at a time through the event core must also match
-    /// the oracle (exercises the step() path rather than run_until()).
+    /// the oracle: 2 000 one-slot windows, each ending on a slot boundary
+    /// that the event core must land on exactly.
     #[test]
     fn single_stepping_matches_oracle() {
         let mut event = build(false, 5);
         let mut naive = build(true, 5);
         for _ in 0..2_000 {
-            event.step();
-            naive.step();
+            event.run_slots(1);
+            naive.run_slots(1);
         }
         assert_eq!(event.asn(), naive.asn());
         for (a, b) in event.nodes().iter().zip(naive.nodes()) {
